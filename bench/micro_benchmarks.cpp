@@ -16,6 +16,7 @@
 #include "labmon/analysis/pipeline.hpp"
 #include "labmon/analysis/stream_fold.hpp"
 #include "labmon/core/experiment.hpp"
+#include "labmon/core/snapshot.hpp"
 #include "labmon/ddc/w32_probe.hpp"
 #include "labmon/ddc/w32_probe_legacy.hpp"
 #include "labmon/nbench/nbench.hpp"
@@ -669,6 +670,61 @@ void BM_BinaryTraceDeserialize(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes.size()));
 }
 BENCHMARK(BM_BinaryTraceDeserialize)->Unit(benchmark::kMillisecond);
+
+// Experiment snapshot store/load on the 77-day trace: chunks encode and
+// decode on util::DefaultWorkerCount() workers; bytes/s is at the file's
+// byte count.
+void BM_SnapshotStore(benchmark::State& state) {
+  const core::ExperimentResult& result = AnalysisBenchResult();
+  const auto fingerprint = core::FingerprintConfig(bench::BenchConfig());
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "labmon_bm_snapshot_store")
+          .string();
+  const core::SnapshotCache cache(dir);
+  for (auto _ : state) {
+    if (!cache.Store(fingerprint, result).ok()) {
+      state.SkipWithError("snapshot store failed");
+      break;
+    }
+  }
+  std::error_code ec;
+  const auto bytes = std::filesystem::file_size(cache.PathFor(fingerprint), ec);
+  std::filesystem::remove_all(dir, ec);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(result.trace.size()));
+}
+BENCHMARK(BM_SnapshotStore)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_SnapshotLoad(benchmark::State& state) {
+  const core::ExperimentResult& result = AnalysisBenchResult();
+  const auto fingerprint = core::FingerprintConfig(bench::BenchConfig());
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "labmon_bm_snapshot_load")
+          .string();
+  const core::SnapshotCache cache(dir);
+  if (!cache.Store(fingerprint, result).ok()) {
+    state.SkipWithError("snapshot store failed");
+    return;
+  }
+  std::error_code ec;
+  const auto bytes = std::filesystem::file_size(cache.PathFor(fingerprint), ec);
+  for (auto _ : state) {
+    auto loaded = cache.Load(fingerprint);
+    if (!loaded.ok() || loaded.value().trace.size() != result.trace.size()) {
+      state.SkipWithError("snapshot load failed");
+      break;
+    }
+    benchmark::DoNotOptimize(loaded);
+  }
+  std::filesystem::remove_all(dir, ec);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(result.trace.size()));
+}
+BENCHMARK(BM_SnapshotLoad)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_Xoshiro(benchmark::State& state) {
   util::Rng rng(1);

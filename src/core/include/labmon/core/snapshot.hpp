@@ -3,10 +3,19 @@
 // The paper's DDC archived every probe's raw output once and ran all
 // analyses off the archive (§3.2). This layer is the reproduction's
 // equivalent: a full ExperimentResult is persisted as a content-keyed
-// binary snapshot — the trace via the existing LMTR1 codec plus a
-// versioned sidecar carrying ground truth, run stats, lab summaries,
-// hardware totals and per-machine perf indices — so the 16 bench binaries
-// pay for one simulation and 15 snapshot loads instead of 16 simulations.
+// binary snapshot — a versioned sidecar carrying ground truth, run stats,
+// lab summaries, hardware totals and per-machine perf indices, then the
+// trace as its user table, a chunk directory, the iteration rows and
+// fixed-size chunks of LMTR1 sample ranges (trace/binary_io.hpp) — so the
+// 16 bench binaries pay for one simulation and 15 snapshot loads instead
+// of 16 simulations.
+//
+// Chunks make the codec parallel in both directions: Store encodes the
+// chunks from the trace columns on every core, and Load reads the file in
+// one sized read, checksums each chunk and decodes it straight into its
+// disjoint row range of the TraceStore columns on every core, then adopts
+// the columns in bulk (TraceStore::Adopt). The layout is independent of
+// the worker count, so the bytes are too.
 //
 // Fingerprint scheme: FNV-1a over every behaviour-affecting field of the
 // ExperimentConfig (campus models, collector schedule/policy/seed, prior
@@ -16,17 +25,20 @@
 // never silently reused.
 //
 // Invalidation rules: a snapshot is replayed only when magic, format
-// version, fingerprint and the payload checksum all match. Anything else —
-// missing file, short file, flipped byte, codec error, foreign
-// fingerprint — is a miss; RunCached warns (for real corruption),
-// re-simulates, and atomically rewrites (write to a temp file, then
-// rename). The checksum (FNV-1a over every payload byte) makes single
-// bit-flips anywhere in the stored file detectable, not just ones that
-// happen to break a varint.
+// version, fingerprint and every checksum match. Anything else — missing
+// file, short file, flipped byte, codec error, foreign fingerprint — is a
+// miss; RunCached warns (for real corruption), re-simulates, and
+// atomically rewrites (write to a temp file, then rename). The header's
+// FNV-1a checksum covers the head (sidecar, user table, chunk directory,
+// iteration rows) and each directory entry carries its chunk body's
+// FNV-1a, so single bit-flips anywhere in the stored file are detectable,
+// not just ones that happen to break a varint.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "labmon/core/experiment.hpp"
 #include "labmon/util/expected.hpp"
@@ -36,7 +48,14 @@ namespace labmon::core {
 /// Bump on any layout change to the sidecar or the embedded trace codec —
 /// old snapshot files then miss and are rewritten.
 /// v2: payload checksum in the header; retry/fault fields in RunStats.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+/// v3: chunked trace — user table, chunk directory (first sample, sample
+/// count, byte length, FNV-1a per chunk), iteration rows, chunk bodies.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+
+/// Samples per snapshot chunk (the last chunk holds the remainder). A
+/// format constant, not a knob: it fixes the file layout, so the bytes do
+/// not depend on the machine that wrote them.
+inline constexpr std::size_t kSnapshotChunkSamples = 65536;
 
 /// Version of the RNG draw protocol the simulation runs under. Mixed into
 /// the fingerprint: the same config produces a *different* trace when the
@@ -50,14 +69,16 @@ inline constexpr std::uint32_t kRngSchemeVersion = 2;
 /// the snapshot format version.
 [[nodiscard]] std::uint64_t FingerprintConfig(const ExperimentConfig& config);
 
-/// Serialises a full ExperimentResult (sidecar + embedded LMTR1 trace).
+/// Serialises a full ExperimentResult (sidecar + chunked trace), encoding
+/// the chunks on util::DefaultWorkerCount() workers.
 [[nodiscard]] std::string SerializeExperimentResult(
     const ExperimentResult& result, std::uint64_t fingerprint);
 
 /// Parses snapshot bytes; fails on magic/version/fingerprint mismatch or
-/// any truncation/corruption.
+/// any truncation/corruption. Chunks are checksummed and decoded on
+/// util::DefaultWorkerCount() workers.
 [[nodiscard]] util::Result<ExperimentResult> DeserializeExperimentResult(
-    const std::string& bytes, std::uint64_t expected_fingerprint);
+    std::string_view bytes, std::uint64_t expected_fingerprint);
 
 /// Directory of content-keyed snapshot files (<hex fingerprint>.lmsnap).
 class SnapshotCache {

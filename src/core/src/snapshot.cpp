@@ -1,12 +1,17 @@
 #include "labmon/core/snapshot.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 
 #include "labmon/trace/binary_io.hpp"
 #include "labmon/util/csv.hpp"
+#include "labmon/util/function_ref.hpp"
+#include "labmon/util/parallel.hpp"
 #include "labmon/util/varint.hpp"
 
 namespace labmon::core {
@@ -231,8 +236,26 @@ void MixPriorLife(Fingerprinter& fp, const winsim::PriorLifeModel& m) {
 }
 
 // ---------------------------------------------------------------------------
-// Sidecar codec helpers.
+// File layout (v3):
+//   magic "LMSS1", varint version, varint fingerprint
+//   varint head_len, u64 head checksum (FNV-1a over the head bytes)
+//   head (head_len bytes):
+//     sidecar: run stats, ground truth, hardware, perf indices, labs
+//     varint machine_count, sample_count, iteration_count, user_count,
+//            chunk_count
+//     user table (LMTR1's)
+//     chunk directory: per chunk { varint first_sample, varint samples,
+//                                  varint bytes, u64 FNV-1a of the body }
+//     iteration rows (LMTR1's)
+//   chunk bodies, back to back in directory order, up to the end of file
+//
+// A chunk body is one LMTR1 sample range (trace/binary_io.hpp) over
+// kSnapshotChunkSamples rows (fewer in the last chunk), with per-machine
+// delta state reset at the chunk start and user references into the
+// head's table. The head checksum covers the directory, which carries the
+// body checksums, so every byte of the file is covered.
 // ---------------------------------------------------------------------------
+
 void PutU64(std::string& out, std::uint64_t bits) {
   for (int i = 0; i < 8; ++i) {
     out.push_back(static_cast<char>((bits >> (8 * i)) & 0xff));
@@ -243,12 +266,12 @@ void PutF64(std::string& out, double v) {
   PutU64(out, std::bit_cast<std::uint64_t>(v));
 }
 
-/// FNV-1a over raw bytes — the payload checksum. Any flipped/cut byte in
-/// the stored payload changes it.
-std::uint64_t ChecksumBytes(const char* data, std::size_t size) noexcept {
+/// FNV-1a over raw bytes — the head and chunk checksums. Any flipped/cut
+/// byte in the covered region changes it.
+std::uint64_t ChecksumBytes(std::string_view data) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
+  for (const char c : data) {
+    h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ull;
   }
   return h;
@@ -263,10 +286,7 @@ struct SidecarReader {
   util::VarintReader reader;
   bool failed = false;
 
-  explicit SidecarReader(const std::string& bytes, std::size_t offset)
-      : reader(std::span<const std::uint8_t>(
-            reinterpret_cast<const std::uint8_t*>(bytes.data()) + offset,
-            bytes.size() - offset)) {}
+  explicit SidecarReader(std::string_view bytes) : reader(bytes) {}
 
   std::uint64_t U64() {
     if (const auto v = reader.Read(); v && !failed) return *v;
@@ -301,27 +321,7 @@ struct SidecarReader {
   }
 };
 
-}  // namespace
-
-std::uint64_t FingerprintConfig(const ExperimentConfig& config) {
-  Fingerprinter fp;
-  fp.Mix(kSnapshotFormatVersion);
-  // The RNG draw protocol determines the simulated trace as much as any
-  // config field; note ExperimentConfig::shards is deliberately NOT mixed —
-  // every shard count replays the same snapshot.
-  fp.Mix(kRngSchemeVersion);
-  MixCampus(fp, config.campus);
-  MixCollector(fp, config.collector);
-  MixPriorLife(fp, config.prior_life);
-  MixFaultPlan(fp, config.fault_plan);
-  return fp.hash();
-}
-
-std::string SerializeExperimentResult(const ExperimentResult& result,
-                                      std::uint64_t fingerprint) {
-  // Payload built separately so the header can carry its checksum.
-  std::string out;
-
+void PutSidecar(std::string& out, const ExperimentResult& result) {
   util::PutSignedVarint(out, result.days);
   util::PutVarint(out, result.parse_failures);
   util::PutVarint(out, result.crosscheck_mismatches);
@@ -372,50 +372,11 @@ std::string SerializeExperimentResult(const ExperimentResult& result,
     PutF64(out, lab.int_index);
     PutF64(out, lab.fp_index);
   }
-
-  const std::string trace_bytes = trace::SerializeTrace(result.trace);
-  util::PutVarint(out, trace_bytes.size());
-  out += trace_bytes;
-
-  std::string framed;
-  framed.reserve(out.size() + 32);
-  framed.append(kMagic, kMagicLen);
-  util::PutVarint(framed, kSnapshotFormatVersion);
-  util::PutVarint(framed, fingerprint);
-  PutU64(framed, ChecksumBytes(out.data(), out.size()));
-  framed += out;
-  return framed;
 }
 
-util::Result<ExperimentResult> DeserializeExperimentResult(
-    const std::string& bytes, std::uint64_t expected_fingerprint) {
-  using R = util::Result<ExperimentResult>;
-  if (bytes.size() < kMagicLen ||
-      std::memcmp(bytes.data(), kMagic, kMagicLen) != 0) {
-    return R::Err("not a labmon snapshot (bad magic)");
-  }
-  SidecarReader in(bytes, kMagicLen);
-
-  const std::uint64_t version = in.U64();
-  if (in.failed) return R::Err("truncated snapshot header");
-  if (version != kSnapshotFormatVersion) {
-    return R::Err("stale snapshot format (version " + std::to_string(version) +
-                  ", expected " + std::to_string(kSnapshotFormatVersion) + ")");
-  }
-  const std::uint64_t fingerprint = in.U64();
-  if (in.failed) return R::Err("truncated snapshot header");
-  if (fingerprint != expected_fingerprint) {
-    return R::Err("snapshot fingerprint mismatch (different config)");
-  }
-  const std::uint64_t stored_checksum = in.RawU64();
-  if (in.failed) return R::Err("truncated snapshot header");
-  const std::size_t payload_offset = kMagicLen + in.reader.position();
-  if (ChecksumBytes(bytes.data() + payload_offset,
-                    bytes.size() - payload_offset) != stored_checksum) {
-    return R::Err("snapshot payload checksum mismatch (corrupt file)");
-  }
-
-  ExperimentResult result;
+/// Reads the sidecar into everything of `result` but the trace; false on
+/// truncation.
+bool ReadSidecar(SidecarReader& in, ExperimentResult& result) {
   result.days = static_cast<int>(in.I64());
   result.parse_failures = in.U64();
   result.crosscheck_mismatches = in.U64();
@@ -451,18 +412,14 @@ util::Result<ExperimentResult> DeserializeExperimentResult(
   result.hardware.sum_fp_index = in.F64();
 
   const std::uint64_t perf_count = in.U64();
-  if (in.failed || perf_count > in.reader.remaining()) {
-    return R::Err("truncated snapshot sidecar");
-  }
+  if (in.failed || perf_count > in.reader.remaining()) return false;
   result.perf_index.reserve(static_cast<std::size_t>(perf_count));
   for (std::uint64_t i = 0; i < perf_count; ++i) {
     result.perf_index.push_back(in.F64());
   }
 
   const std::uint64_t lab_count = in.U64();
-  if (in.failed || lab_count > in.reader.remaining()) {
-    return R::Err("truncated snapshot sidecar");
-  }
+  if (in.failed || lab_count > in.reader.remaining()) return false;
   result.labs.reserve(static_cast<std::size_t>(lab_count));
   for (std::uint64_t i = 0; i < lab_count; ++i) {
     LabSummary lab;
@@ -476,19 +433,246 @@ util::Result<ExperimentResult> DeserializeExperimentResult(
     lab.fp_index = in.F64();
     result.labs.push_back(std::move(lab));
   }
-  if (in.failed) return R::Err("truncated snapshot sidecar");
+  return !in.failed;
+}
 
-  const std::uint64_t trace_len = in.U64();
-  if (in.failed || trace_len != in.reader.remaining()) {
-    return R::Err("truncated snapshot trace");
+/// A serialised snapshot in two parts, so Store can write the chunk bodies
+/// without first concatenating them.
+struct EncodedSnapshot {
+  std::string head;                 ///< every byte before the chunk bodies
+  std::vector<std::string> chunks;  ///< chunk bodies, in directory order
+};
+
+EncodedSnapshot EncodeSnapshot(const ExperimentResult& result,
+                               std::uint64_t fingerprint) {
+  const trace::TraceStore& trace = result.trace;
+  const std::size_t n = trace.size();
+  const std::size_t chunk_count =
+      (n + kSnapshotChunkSamples - 1) / kSnapshotChunkSamples;
+
+  EncodedSnapshot encoded;
+  encoded.chunks.resize(chunk_count);
+  std::vector<std::uint64_t> checksums(chunk_count);
+  util::ParallelFor(chunk_count, [&](std::size_t k) {
+    const std::size_t begin = k * kSnapshotChunkSamples;
+    const std::size_t end = std::min(n, begin + kSnapshotChunkSamples);
+    trace::EncodeSampleRange(trace.columns(), begin, end, encoded.chunks[k]);
+    checksums[k] = ChecksumBytes(encoded.chunks[k]);
+  });
+
+  std::string head;
+  PutSidecar(head, result);
+  util::PutVarint(head, trace.machine_count());
+  util::PutVarint(head, n);
+  util::PutVarint(head, trace.iterations().size());
+  util::PutVarint(head, trace.users().size());
+  util::PutVarint(head, chunk_count);
+  trace::PutUserTable(head, trace.users());
+  for (std::size_t k = 0; k < chunk_count; ++k) {
+    const std::size_t begin = k * kSnapshotChunkSamples;
+    util::PutVarint(head, begin);
+    util::PutVarint(head, std::min(kSnapshotChunkSamples, n - begin));
+    util::PutVarint(head, encoded.chunks[k].size());
+    PutU64(head, checksums[k]);
   }
-  auto trace_bytes = in.reader.ReadBytes(static_cast<std::size_t>(trace_len));
-  if (!trace_bytes) return R::Err("truncated snapshot trace");
-  auto trace = trace::DeserializeTrace(*trace_bytes);
-  if (!trace.ok()) {
-    return R::Err("snapshot trace decode failed: " + trace.error());
+  trace::PutIterationRows(head, trace.iterations());
+
+  encoded.head.reserve(head.size() + 32);
+  encoded.head.append(kMagic, kMagicLen);
+  util::PutVarint(encoded.head, kSnapshotFormatVersion);
+  util::PutVarint(encoded.head, fingerprint);
+  util::PutVarint(encoded.head, head.size());
+  PutU64(encoded.head, ChecksumBytes(head));
+  encoded.head += head;
+  return encoded;
+}
+
+constexpr std::size_t kColumnCount = [] {
+  std::size_t count = 0;
+  trace::TraceStore::ForEachColumn([&count](auto) { ++count; });
+  return count;
+}();
+
+/// Sizes column `k` (in ForEachColumn order) of `cols` to `n` rows.
+void ResizeColumn(trace::TraceStore::Columns& cols, std::size_t k,
+                  std::size_t n) {
+  std::size_t column = 0;
+  trace::TraceStore::ForEachColumn([&](auto member) {
+    if (column++ == k) (cols.*member).resize(n);
+  });
+}
+
+/// Runs task(k) for every k in [0, count) on util::DefaultWorkerCount()
+/// workers, each taking the next task as it frees up — for task lists
+/// whose costs differ widely.
+void RunTasks(std::size_t count, util::FunctionRef<void(std::size_t)> task) {
+  std::atomic<std::size_t> next{0};
+  util::ParallelFor(std::min(count, util::DefaultWorkerCount()),
+                    [&](std::size_t) {
+                      for (std::size_t k = next++; k < count; k = next++) {
+                        task(k);
+                      }
+                    });
+}
+
+/// One chunk directory entry, with its body's offset resolved.
+struct ChunkEntry {
+  std::size_t first = 0;
+  std::size_t samples = 0;
+  std::size_t offset = 0;  ///< into the body region
+  std::size_t bytes = 0;
+  std::uint64_t checksum = 0;
+};
+
+}  // namespace
+
+std::uint64_t FingerprintConfig(const ExperimentConfig& config) {
+  Fingerprinter fp;
+  fp.Mix(kSnapshotFormatVersion);
+  // The RNG draw protocol determines the simulated trace as much as any
+  // config field; note ExperimentConfig::shards is deliberately NOT mixed —
+  // every shard count replays the same snapshot.
+  fp.Mix(kRngSchemeVersion);
+  MixCampus(fp, config.campus);
+  MixCollector(fp, config.collector);
+  MixPriorLife(fp, config.prior_life);
+  MixFaultPlan(fp, config.fault_plan);
+  return fp.hash();
+}
+
+std::string SerializeExperimentResult(const ExperimentResult& result,
+                                      std::uint64_t fingerprint) {
+  EncodedSnapshot encoded = EncodeSnapshot(result, fingerprint);
+  std::size_t size = encoded.head.size();
+  for (const std::string& chunk : encoded.chunks) size += chunk.size();
+  std::string out = std::move(encoded.head);
+  out.reserve(size);
+  for (const std::string& chunk : encoded.chunks) out += chunk;
+  return out;
+}
+
+util::Result<ExperimentResult> DeserializeExperimentResult(
+    std::string_view bytes, std::uint64_t expected_fingerprint) {
+  using R = util::Result<ExperimentResult>;
+  if (bytes.size() < kMagicLen ||
+      std::memcmp(bytes.data(), kMagic, kMagicLen) != 0) {
+    return R::Err("not a labmon snapshot (bad magic)");
   }
-  result.trace = std::move(trace.value());
+  SidecarReader frame(bytes.substr(kMagicLen));
+  const std::uint64_t version = frame.U64();
+  if (frame.failed) return R::Err("truncated snapshot header");
+  if (version != kSnapshotFormatVersion) {
+    return R::Err("stale snapshot format (version " + std::to_string(version) +
+                  ", expected " + std::to_string(kSnapshotFormatVersion) + ")");
+  }
+  const std::uint64_t fingerprint = frame.U64();
+  if (frame.failed) return R::Err("truncated snapshot header");
+  if (fingerprint != expected_fingerprint) {
+    return R::Err("snapshot fingerprint mismatch (different config)");
+  }
+  const std::uint64_t head_len = frame.U64();
+  const std::uint64_t head_checksum = frame.RawU64();
+  if (frame.failed || head_len > frame.reader.remaining()) {
+    return R::Err("truncated snapshot header");
+  }
+  const std::size_t head_offset = kMagicLen + frame.reader.position();
+  const std::string_view head =
+      bytes.substr(head_offset, static_cast<std::size_t>(head_len));
+  const std::string_view body = bytes.substr(head_offset + head.size());
+  if (ChecksumBytes(head) != head_checksum) {
+    return R::Err("snapshot head checksum mismatch (corrupt file)");
+  }
+
+  ExperimentResult result;
+  SidecarReader in(head);
+  if (!ReadSidecar(in, result)) return R::Err("truncated snapshot sidecar");
+
+  const std::uint64_t machine_count = in.U64();
+  const std::uint64_t sample_count = in.U64();
+  const std::uint64_t iteration_count = in.U64();
+  const std::uint64_t user_count = in.U64();
+  const std::uint64_t chunk_count = in.U64();
+  if (in.failed) return R::Err("truncated snapshot trace header");
+  if (machine_count > trace::kMaxTraceMachines ||
+      sample_count > body.size() / trace::kMinSampleBytes ||
+      chunk_count != (sample_count + kSnapshotChunkSamples - 1) /
+                         kSnapshotChunkSamples) {
+    return R::Err("implausible snapshot trace header");
+  }
+  const auto n = static_cast<std::size_t>(sample_count);
+
+  auto users = trace::ReadUserTable(in.reader, user_count);
+  if (!users.ok()) return R::Err("snapshot " + users.error());
+
+  std::vector<ChunkEntry> chunks(static_cast<std::size_t>(chunk_count));
+  std::size_t body_offset = 0;
+  for (std::size_t k = 0; k < chunks.size(); ++k) {
+    ChunkEntry& chunk = chunks[k];
+    chunk.first = static_cast<std::size_t>(in.U64());
+    chunk.samples = static_cast<std::size_t>(in.U64());
+    const std::uint64_t chunk_bytes = in.U64();
+    chunk.checksum = in.RawU64();
+    if (in.failed) return R::Err("truncated snapshot chunk directory");
+    if (chunk.first != k * kSnapshotChunkSamples ||
+        chunk.samples != std::min(kSnapshotChunkSamples, n - chunk.first)) {
+      return R::Err("snapshot chunk directory out of order");
+    }
+    if (chunk_bytes > body.size() - body_offset) {
+      return R::Err("truncated snapshot trace");
+    }
+    chunk.offset = body_offset;
+    chunk.bytes = static_cast<std::size_t>(chunk_bytes);
+    body_offset += chunk.bytes;
+  }
+  auto iterations = trace::ReadIterationRows(in.reader, iteration_count);
+  if (!iterations.ok()) return R::Err("snapshot " + iterations.error());
+  if (!in.reader.AtEnd()) return R::Err("trailing bytes in snapshot head");
+  if (body_offset != body.size()) {
+    return R::Err("trailing bytes after snapshot trace");
+  }
+
+  // Size the columns (the zero-fill page faults are ~100 bytes per sample)
+  // while checksumming the chunks, then decode every chunk straight into
+  // its disjoint row range.
+  trace::TraceStore::Columns cols;
+  std::vector<std::string> errors(chunks.size());
+  const auto chunk_view = [&](std::size_t k) {
+    return body.substr(chunks[k].offset, chunks[k].bytes);
+  };
+  RunTasks(kColumnCount + chunks.size(), [&](std::size_t task) {
+    if (task < kColumnCount) {
+      ResizeColumn(cols, task, n);
+    } else if (const std::size_t k = task - kColumnCount;
+               ChecksumBytes(chunk_view(k)) != chunks[k].checksum) {
+      errors[k] = "snapshot chunk " + std::to_string(k) +
+                  " checksum mismatch (corrupt file)";
+    }
+  });
+  const auto first_error = [&]() -> const std::string* {
+    for (const std::string& error : errors) {
+      if (!error.empty()) return &error;
+    }
+    return nullptr;
+  };
+  if (const std::string* error = first_error()) return R::Err(*error);
+  util::ParallelFor(chunks.size(), [&](std::size_t k) {
+    const std::string_view data = chunk_view(k);
+    const auto used = trace::DecodeSampleRange(
+        data, trace::MachineIdBound(machine_count), users.value().size(), cols,
+        chunks[k].first, chunks[k].samples);
+    if (!used.ok()) {
+      errors[k] = "snapshot chunk " + std::to_string(k) + ": " + used.error();
+    } else if (used.value() != data.size()) {
+      errors[k] = "trailing bytes in snapshot chunk " + std::to_string(k);
+    }
+  });
+  if (const std::string* error = first_error()) return R::Err(*error);
+
+  auto store = trace::TraceStore::Adopt(
+      static_cast<std::size_t>(machine_count), std::move(cols),
+      std::move(users).value(), std::move(iterations).value());
+  if (!store.ok()) return R::Err("snapshot trace: " + store.error());
+  result.trace = std::move(store).value();
   return result;
 }
 
@@ -527,11 +711,20 @@ util::Result<bool> SnapshotCache::Store(std::uint64_t fingerprint,
   }
   const std::string path = PathFor(fingerprint);
   const std::string tmp = path + ".tmp";
-  if (const auto written =
-          util::WriteTextFile(tmp, SerializeExperimentResult(result,
-                                                             fingerprint));
-      !written.ok()) {
-    return R::Err(written.error());
+  const EncodedSnapshot encoded = EncodeSnapshot(result, fingerprint);
+  {
+    std::ofstream out(tmp, std::ios::binary);
+    if (!out) return R::Err("cannot open for write: " + tmp);
+    out.write(encoded.head.data(),
+              static_cast<std::streamsize>(encoded.head.size()));
+    for (const std::string& chunk : encoded.chunks) {
+      out.write(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+    }
+    out.close();
+    if (!out) {
+      std::filesystem::remove(tmp, ec);
+      return R::Err("write failed: " + tmp);
+    }
   }
   std::filesystem::rename(tmp, path, ec);
   if (ec) {

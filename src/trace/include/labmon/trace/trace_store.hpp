@@ -119,6 +119,18 @@ class TraceStore {
   /// byte-identical to appending the gathered SampleRecord.
   void AppendFrom(const Columns& src, std::size_t i, std::uint32_t user_id);
 
+  /// Bulk entry point for decoders: adopts fully decoded columns (all of
+  /// one length), the user table their user_id column indexes and the
+  /// iteration rows, then builds the per-machine index and the user map
+  /// once. Validates what Append would have guaranteed: machine ids below
+  /// `machine_count` (when non-zero), 0/1 session flags, user ids inside
+  /// the table for session rows and kNoUser / logon 0 otherwise, distinct
+  /// user names, and at most 2^32 - 1 samples. The resulting store equals
+  /// one built by appending the same rows.
+  [[nodiscard]] static util::Result<TraceStore> Adopt(
+      std::size_t machine_count, Columns columns,
+      std::vector<std::string> users, std::vector<IterationInfo> iterations);
+
   /// Drops all samples, iterations and interned users but keeps the
   /// machine count — the spilling sink's "seal a block, start the next"
   /// reset. Column capacity is retained so steady-state block collection

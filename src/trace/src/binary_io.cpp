@@ -1,12 +1,12 @@
 #include "labmon/trace/binary_io.hpp"
 
-#include <span>
-#include <vector>
+#include <algorithm>
+#include <limits>
 
+#include "codec_detail.hpp"
 #include "labmon/obs/registry.hpp"
 #include "labmon/obs/span.hpp"
 #include "labmon/util/csv.hpp"
-#include "labmon/util/varint.hpp"
 
 namespace labmon::trace {
 
@@ -14,29 +14,96 @@ namespace {
 
 constexpr char kMagic[] = "LMTR1";
 constexpr std::size_t kMagicLen = 5;
+constexpr std::uint64_t kMaxUserLen = 4096;
+/// An iteration row takes at least four bytes (one per field).
+constexpr std::size_t kMinIterationRowBytes = 4;
+/// Upper bound of one encoded sample: a 5-byte machine id, 15 10-byte
+/// deltas and a 5-byte user reference.
+constexpr std::size_t kMaxSampleBytes = 5 + 15 * 10 + 5;
 
-/// Per-machine previous-sample state used for delta coding.
+/// Per-machine previous-sample state used for delta coding. Deltas are
+/// taken in the u64 wrap domain, so every value pattern round-trips without
+/// signed overflow; for in-range values the bytes equal plain signed
+/// subtraction.
 struct Previous {
-  std::int64_t t = 0;
-  std::int64_t iteration = 0;
-  std::int64_t boot_time = 0;
-  std::int64_t uptime_s = 0;
-  std::int64_t idle_cs = 0;  ///< idle seconds in centiseconds (exact: the
-                             ///< probe emits 2 decimals)
-  std::int64_t ram_mb = 0;
-  std::int64_t mem = 0;
-  std::int64_t swap = 0;
-  std::int64_t disk_total = 0;
-  std::int64_t disk_free = 0;
-  std::int64_t poh = 0;
-  std::int64_t cycles = 0;
-  std::int64_t sent = 0;
-  std::int64_t recv = 0;
-  std::int64_t logon = 0;
+  std::uint64_t iteration = 0;
+  std::uint64_t t = 0;
+  std::uint64_t boot_time = 0;
+  std::uint64_t uptime_s = 0;
+  std::uint64_t idle_cs = 0;  ///< idle seconds in centiseconds (exact: the
+                              ///< probe emits 2 decimals)
+  std::uint64_t ram_mb = 0;
+  std::uint64_t mem = 0;
+  std::uint64_t swap = 0;
+  std::uint64_t disk_total = 0;
+  std::uint64_t disk_free = 0;
+  std::uint64_t poh = 0;
+  std::uint64_t cycles = 0;
+  std::uint64_t sent = 0;
+  std::uint64_t recv = 0;
+  std::uint64_t logon = 0;
 };
 
-std::int64_t IdleCentiseconds(double idle_s) {
-  return static_cast<std::int64_t>(idle_s * 100.0 + 0.5);
+/// Appends varints through a raw cursor into `out`, growing it in large
+/// steps (one capacity check per sample instead of one per field).
+class RangeWriter {
+ public:
+  RangeWriter(std::string& out, std::size_t expected_bytes)
+      : out_(out), pos_(out.size()) {
+    out_.resize(pos_ + expected_bytes + kMaxSampleBytes);
+  }
+  RangeWriter(const RangeWriter&) = delete;
+  RangeWriter& operator=(const RangeWriter&) = delete;
+  ~RangeWriter() { out_.resize(pos_); }
+
+  /// Makes room for one more sample.
+  void EnsureSample() {
+    if (out_.size() - pos_ < kMaxSampleBytes) {
+      out_.resize(std::max(out_.size() * 2, pos_ + kMaxSampleBytes));
+    }
+  }
+  void Put(std::uint64_t value) noexcept {
+    char* p = out_.data() + pos_;
+    while (value >= 0x80) {
+      *p++ = static_cast<char>((value & 0x7f) | 0x80);
+      value >>= 7;
+    }
+    *p++ = static_cast<char>(value);
+    pos_ = static_cast<std::size_t>(p - out_.data());
+  }
+  /// Emits `cur - base` zigzag-coded and advances `base` to `cur`.
+  void Delta(std::uint64_t& base, std::uint64_t cur) noexcept {
+    Put(util::ZigzagEncode(static_cast<std::int64_t>(cur - base)));
+    base = cur;
+  }
+
+ private:
+  std::string& out_;
+  std::size_t pos_;
+};
+
+/// Reads one LEB128 varint from [p, end) under VarintReader's exact
+/// acceptance rules (truncated or overlong input fails).
+inline bool ReadVarint(const std::uint8_t*& p, const std::uint8_t* end,
+                       std::uint64_t& value) noexcept {
+  if (p != end && *p < 0x80) {
+    value = *p++;
+    return true;
+  }
+  std::uint64_t v = 0;
+  int shift = 0;
+  while (p != end) {
+    const std::uint8_t byte = *p++;
+    if (shift >= 63 && byte > 1) return false;  // overlong
+    v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) {
+      value = v;
+      return true;
+    }
+    shift += 7;
+    if (shift > 63) return false;
+  }
+  return false;  // truncated
 }
 
 /// Bulk-updates the default registry's trace I/O counters (one call per
@@ -58,102 +125,223 @@ void CountTraceIo(const char* direction, std::uint64_t bytes,
 
 }  // namespace
 
-std::string SerializeTrace(const TraceStore& store) {
-  obs::Span span("trace.serialize");
-  std::string out;
-  out.reserve(store.size() * 24 + 64);
-  out.append(kMagic, kMagicLen);
+void EncodeSampleRange(const TraceStore::Columns& c, std::size_t begin,
+                       std::size_t end, std::string& out) {
+  std::vector<Previous> prev;
+  RangeWriter w(out, (end - begin) * 24);
+  for (std::size_t i = begin; i < end; ++i) {
+    w.EnsureSample();
+    const std::uint32_t machine = c.machine[i];
+    if (machine >= prev.size()) prev.resize(std::size_t{machine} + 1);
+    Previous& p = prev[machine];
+    w.Put(machine);
+    w.Delta(p.iteration, c.iteration[i]);
+    w.Delta(p.t, static_cast<std::uint64_t>(c.t[i]));
+    w.Delta(p.boot_time, static_cast<std::uint64_t>(c.boot_time[i]));
+    w.Delta(p.uptime_s, static_cast<std::uint64_t>(c.uptime_s[i]));
+    w.Delta(p.idle_cs, static_cast<std::uint64_t>(
+                           detail::IdleCentiseconds(c.cpu_idle_s[i])));
+    w.Delta(p.ram_mb, c.ram_mb[i]);
+    w.Delta(p.mem, c.mem_load_pct[i]);
+    w.Delta(p.swap, c.swap_load_pct[i]);
+    w.Delta(p.disk_total, c.disk_total_b[i]);
+    w.Delta(p.disk_free, c.disk_free_b[i]);
+    w.Delta(p.poh, c.smart_power_on_hours[i]);
+    w.Delta(p.cycles, c.smart_power_cycles[i]);
+    w.Delta(p.sent, c.net_sent_b[i]);
+    w.Delta(p.recv, c.net_recv_b[i]);
+    if (c.has_session[i] != 0) {
+      w.Put(std::uint64_t{c.user_id[i]} + 1);
+      w.Delta(p.logon, static_cast<std::uint64_t>(c.session_logon[i]));
+    } else {
+      w.Put(0);
+    }
+  }
+}
 
-  // User string table — the store's interned table, which is already in
-  // first-appearance order.
-  const std::span<const std::string> users = store.users();
+util::Result<std::size_t> DecodeSampleRange(std::string_view bytes,
+                                            std::uint64_t machine_bound,
+                                            std::size_t user_count,
+                                            TraceStore::Columns& c,
+                                            std::size_t first,
+                                            std::size_t count) {
+  using R = util::Result<std::size_t>;
+  const auto* const begin = reinterpret_cast<const std::uint8_t*>(bytes.data());
+  const std::uint8_t* const end = begin + bytes.size();
+  const std::uint8_t* p = begin;
+  std::vector<Previous> prev;
+  for (std::size_t i = first; i < first + count; ++i) {
+    std::uint64_t machine = 0;
+    if (!ReadVarint(p, end, machine)) return R::Err("truncated sample stream");
+    if (machine >= machine_bound) return R::Err("machine id out of range");
+    if (machine >= prev.size()) {
+      prev.resize(static_cast<std::size_t>(machine) + 1);
+    }
+    Previous& q = prev[static_cast<std::size_t>(machine)];
+    // Field reads keep going past a failure (the cursor never passes
+    // `end`), so the loop body has one error branch per sample.
+    bool ok = true;
+    const auto field = [&](std::uint64_t& base) {
+      std::uint64_t zigzag = 0;
+      ok &= ReadVarint(p, end, zigzag);
+      base += static_cast<std::uint64_t>(util::ZigzagDecode(zigzag));
+    };
+    field(q.iteration);
+    field(q.t);
+    field(q.boot_time);
+    field(q.uptime_s);
+    field(q.idle_cs);
+    field(q.ram_mb);
+    field(q.mem);
+    field(q.swap);
+    field(q.disk_total);
+    field(q.disk_free);
+    field(q.poh);
+    field(q.cycles);
+    field(q.sent);
+    field(q.recv);
+    if (!ok) return R::Err("truncated sample fields");
+    c.machine[i] = static_cast<std::uint32_t>(machine);
+    c.iteration[i] = static_cast<std::uint32_t>(q.iteration);
+    c.t[i] = static_cast<std::int64_t>(q.t);
+    c.boot_time[i] = static_cast<std::int64_t>(q.boot_time);
+    c.uptime_s[i] = static_cast<std::int64_t>(q.uptime_s);
+    c.cpu_idle_s[i] =
+        static_cast<double>(static_cast<std::int64_t>(q.idle_cs)) / 100.0;
+    c.ram_mb[i] = static_cast<std::uint16_t>(q.ram_mb);
+    c.mem_load_pct[i] = static_cast<std::uint8_t>(q.mem);
+    c.swap_load_pct[i] = static_cast<std::uint8_t>(q.swap);
+    c.disk_total_b[i] = q.disk_total;
+    c.disk_free_b[i] = q.disk_free;
+    c.smart_power_on_hours[i] = q.poh;
+    c.smart_power_cycles[i] = q.cycles;
+    c.net_sent_b[i] = q.sent;
+    c.net_recv_b[i] = q.recv;
 
-  util::PutVarint(out, store.machine_count());
-  util::PutVarint(out, store.size());
-  util::PutVarint(out, store.iterations().size());
-  util::PutVarint(out, users.size());
+    std::uint64_t user_ref = 0;
+    if (!ReadVarint(p, end, user_ref)) return R::Err("truncated session field");
+    if (user_ref == 0) {
+      c.has_session[i] = 0;
+      c.session_logon[i] = 0;
+      c.user_id[i] = TraceStore::kNoUser;
+      continue;
+    }
+    if (user_ref > user_count) return R::Err("dangling user reference");
+    field(q.logon);
+    if (!ok) return R::Err("truncated logon field");
+    c.has_session[i] = 1;
+    c.session_logon[i] = static_cast<std::int64_t>(q.logon);
+    c.user_id[i] = static_cast<std::uint32_t>(user_ref - 1);
+  }
+  return static_cast<std::size_t>(p - begin);
+}
+
+void PutUserTable(std::string& out, std::span<const std::string> users) {
   for (const std::string& user : users) {
     util::PutVarint(out, user.size());
     out.append(user);
   }
+}
 
-  std::vector<Previous> prev(store.machine_count());
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    const SampleRecord s = store.Sample(i);
-    if (s.machine >= prev.size()) prev.resize(s.machine + 1);
-    Previous& p = prev[s.machine];
-    util::PutVarint(out, s.machine);
-    util::PutSignedVarint(out, static_cast<std::int64_t>(s.iteration) -
-                                   p.iteration);
-    util::PutSignedVarint(out, s.t - p.t);
-    util::PutSignedVarint(out, s.boot_time - p.boot_time);
-    util::PutSignedVarint(out, s.uptime_s - p.uptime_s);
-    const std::int64_t idle_cs = IdleCentiseconds(s.cpu_idle_s);
-    util::PutSignedVarint(out, idle_cs - p.idle_cs);
-    util::PutSignedVarint(out, s.ram_mb - p.ram_mb);
-    util::PutSignedVarint(out, s.mem_load_pct - p.mem);
-    util::PutSignedVarint(out, s.swap_load_pct - p.swap);
-    util::PutSignedVarint(out,
-                          static_cast<std::int64_t>(s.disk_total_b) -
-                              p.disk_total);
-    util::PutSignedVarint(out,
-                          static_cast<std::int64_t>(s.disk_free_b) -
-                              p.disk_free);
-    util::PutSignedVarint(
-        out, static_cast<std::int64_t>(s.smart_power_on_hours) - p.poh);
-    util::PutSignedVarint(
-        out, static_cast<std::int64_t>(s.smart_power_cycles) - p.cycles);
-    util::PutSignedVarint(out,
-                          static_cast<std::int64_t>(s.net_sent_b) - p.sent);
-    util::PutSignedVarint(out,
-                          static_cast<std::int64_t>(s.net_recv_b) - p.recv);
-    if (s.has_session) {
-      util::PutVarint(out, 1 + store.columns().user_id[i]);
-      util::PutSignedVarint(out, s.session_logon - p.logon);
-      p.logon = s.session_logon;
-    } else {
-      util::PutVarint(out, 0);
-    }
-    p.iteration = s.iteration;
-    p.t = s.t;
-    p.boot_time = s.boot_time;
-    p.uptime_s = s.uptime_s;
-    p.idle_cs = idle_cs;
-    p.ram_mb = s.ram_mb;
-    p.mem = s.mem_load_pct;
-    p.swap = s.swap_load_pct;
-    p.disk_total = static_cast<std::int64_t>(s.disk_total_b);
-    p.disk_free = static_cast<std::int64_t>(s.disk_free_b);
-    p.poh = static_cast<std::int64_t>(s.smart_power_on_hours);
-    p.cycles = static_cast<std::int64_t>(s.smart_power_cycles);
-    p.sent = static_cast<std::int64_t>(s.net_sent_b);
-    p.recv = static_cast<std::int64_t>(s.net_recv_b);
+util::Result<std::vector<std::string>> ReadUserTable(util::VarintReader& in,
+                                                     std::uint64_t count) {
+  using R = util::Result<std::vector<std::string>>;
+  // Each entry takes at least its length byte.
+  if (count > in.remaining()) return R::Err("truncated user table");
+  std::vector<std::string> users;
+  users.reserve(static_cast<std::size_t>(count));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const auto len = in.Read();
+    if (!len || *len > kMaxUserLen) return R::Err("garbled user table");
+    auto name = in.ReadBytes(static_cast<std::size_t>(*len));
+    if (!name) return R::Err("truncated user table");
+    users.push_back(std::move(*name));
   }
+  return users;
+}
 
-  // Iteration metadata (delta against the previous iteration row).
+void PutIterationRows(std::string& out, std::span<const IterationInfo> rows) {
   std::int64_t prev_start = 0;
   std::int64_t prev_end = 0;
-  for (const auto& it : store.iterations()) {
-    util::PutSignedVarint(out, it.start_t - prev_start);
-    util::PutSignedVarint(out, it.end_t - prev_end);
+  // Deltas in the u64 wrap domain, like the sample fields.
+  const auto delta = [](std::int64_t cur, std::int64_t base) {
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(cur) -
+                                     static_cast<std::uint64_t>(base));
+  };
+  for (const IterationInfo& it : rows) {
+    util::PutSignedVarint(out, delta(it.start_t, prev_start));
+    util::PutSignedVarint(out, delta(it.end_t, prev_end));
     util::PutVarint(out, it.attempts);
     util::PutVarint(out, it.successes);
     prev_start = it.start_t;
     prev_end = it.end_t;
   }
+}
+
+util::Result<std::vector<IterationInfo>> ReadIterationRows(
+    util::VarintReader& in, std::uint64_t count) {
+  using R = util::Result<std::vector<IterationInfo>>;
+  if (count > in.remaining() / kMinIterationRowBytes) {
+    return R::Err("truncated iteration metadata");
+  }
+  std::vector<IterationInfo> rows;
+  rows.reserve(static_cast<std::size_t>(count));
+  std::uint64_t start = 0;
+  std::uint64_t end = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const auto ds = in.Read();
+    const auto de = in.Read();
+    const auto attempts = in.Read();
+    const auto successes = in.Read();
+    if (!ds || !de || !attempts || !successes) {
+      return R::Err("truncated iteration metadata");
+    }
+    constexpr std::uint64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+    if (*attempts > kU32 || *successes > kU32) {
+      return R::Err("implausible iteration counts");
+    }
+    start += static_cast<std::uint64_t>(util::ZigzagDecode(*ds));
+    end += static_cast<std::uint64_t>(util::ZigzagDecode(*de));
+    IterationInfo info;
+    info.iteration = i;
+    info.start_t = static_cast<std::int64_t>(start);
+    info.end_t = static_cast<std::int64_t>(end);
+    info.attempts = static_cast<std::uint32_t>(*attempts);
+    info.successes = static_cast<std::uint32_t>(*successes);
+    rows.push_back(info);
+  }
+  return rows;
+}
+
+std::string SerializeTrace(const TraceStore& store) {
+  obs::Span span("trace.serialize");
+  std::string out;
+  out.reserve(store.size() * 24 + 64);
+  out.append(kMagic, kMagicLen);
+  // The store's interned user table is already in first-appearance order.
+  util::PutVarint(out, store.machine_count());
+  util::PutVarint(out, store.size());
+  util::PutVarint(out, store.iterations().size());
+  util::PutVarint(out, store.users().size());
+  PutUserTable(out, store.users());
+  EncodeSampleRange(store.columns(), 0, store.size(), out);
+  PutIterationRows(out, store.iterations());
   CountTraceIo("write", out.size(), store.size());
   return out;
 }
 
-util::Result<TraceStore> DeserializeTrace(std::string_view bytes) {
-  obs::Span span("trace.deserialize");
-  using R = util::Result<TraceStore>;
+namespace detail {
+
+util::Result<std::size_t> DecodeLmtr1(std::string_view bytes,
+                                      TraceBlock& out) {
+  using R = util::Result<std::size_t>;
+  out.Clear();
   if (bytes.size() < kMagicLen ||
       bytes.compare(0, kMagicLen, kMagic, kMagicLen) != 0) {
     return R::Err("not a LMTR1 trace (bad magic)");
   }
   util::VarintReader reader(bytes);
-  (void)reader.ReadBytes(kMagicLen);
+  (void)reader.Skip(kMagicLen);
 
   const auto machine_count = reader.Read();
   const auto sample_count = reader.Read();
@@ -162,95 +350,43 @@ util::Result<TraceStore> DeserializeTrace(std::string_view bytes) {
   if (!machine_count || !sample_count || !iteration_count || !user_count) {
     return R::Err("truncated header");
   }
-  if (*sample_count > (std::uint64_t{1} << 32) ||
-      *user_count > (std::uint64_t{1} << 28)) {
+  // Counts are bounded by the bytes that could hold them, so a corrupt
+  // header fails here instead of driving a huge allocation.
+  if (*machine_count > kMaxTraceMachines ||
+      *sample_count > reader.remaining() / kMinSampleBytes) {
     return R::Err("implausible header counts");
   }
 
-  std::vector<std::string> users;
-  users.reserve(*user_count);
-  for (std::uint64_t i = 0; i < *user_count; ++i) {
-    const auto len = reader.Read();
-    if (!len || *len > 4096) return R::Err("garbled user table");
-    auto name = reader.ReadBytes(*len);
-    if (!name) return R::Err("truncated user table");
-    users.push_back(std::move(*name));
-  }
+  auto users = ReadUserTable(reader, *user_count);
+  if (!users.ok()) return R::Err(users.error());
+  out.users = std::move(users).value();
 
-  TraceStore store(*machine_count);
-  store.Reserve(*sample_count);
-  std::vector<Previous> prev(*machine_count);
-  for (std::uint64_t n = 0; n < *sample_count; ++n) {
-    const auto machine = reader.Read();
-    if (!machine) return R::Err("truncated sample stream");
-    if (*machine >= prev.size()) prev.resize(*machine + 1);
-    Previous& p = prev[*machine];
+  const auto n = static_cast<std::size_t>(*sample_count);
+  TraceStore::ForEachColumn([&](auto member) { (out.cols.*member).resize(n); });
+  const auto used = DecodeSampleRange(
+      bytes.substr(reader.position()), MachineIdBound(*machine_count),
+      out.users.size(), out.cols, 0, n);
+  if (!used.ok()) return R::Err(used.error());
+  (void)reader.Skip(used.value());
 
-    SampleRecord s;
-    s.machine = static_cast<std::uint32_t>(*machine);
-    const auto read = [&](std::int64_t& base) -> bool {
-      const auto delta = reader.ReadSigned();
-      if (!delta) return false;
-      base += *delta;
-      return true;
-    };
-    if (!read(p.iteration) || !read(p.t) || !read(p.boot_time) ||
-        !read(p.uptime_s) || !read(p.idle_cs) || !read(p.ram_mb) ||
-        !read(p.mem) ||
-        !read(p.swap) || !read(p.disk_total) || !read(p.disk_free) ||
-        !read(p.poh) || !read(p.cycles) || !read(p.sent) || !read(p.recv)) {
-      return R::Err("truncated sample fields");
-    }
-    s.iteration = static_cast<std::uint32_t>(p.iteration);
-    s.t = p.t;
-    s.boot_time = p.boot_time;
-    s.uptime_s = p.uptime_s;
-    s.cpu_idle_s = static_cast<double>(p.idle_cs) / 100.0;
-    s.ram_mb = static_cast<std::uint16_t>(p.ram_mb);
-    s.mem_load_pct = static_cast<std::uint8_t>(p.mem);
-    s.swap_load_pct = static_cast<std::uint8_t>(p.swap);
-    s.disk_total_b = static_cast<std::uint64_t>(p.disk_total);
-    s.disk_free_b = static_cast<std::uint64_t>(p.disk_free);
-    s.smart_power_on_hours = static_cast<std::uint64_t>(p.poh);
-    s.smart_power_cycles = static_cast<std::uint64_t>(p.cycles);
-    s.net_sent_b = static_cast<std::uint64_t>(p.sent);
-    s.net_recv_b = static_cast<std::uint64_t>(p.recv);
+  auto iterations = ReadIterationRows(reader, *iteration_count);
+  if (!iterations.ok()) return R::Err(iterations.error());
+  out.iterations = std::move(iterations).value();
+  return static_cast<std::size_t>(*machine_count);
+}
 
-    const auto user_ref = reader.Read();
-    if (!user_ref) return R::Err("truncated session field");
-    if (*user_ref > 0) {
-      if (*user_ref > users.size()) return R::Err("dangling user reference");
-      s.has_session = true;
-      s.user = users[*user_ref - 1];
-      const auto logon_delta = reader.ReadSigned();
-      if (!logon_delta) return R::Err("truncated logon field");
-      p.logon += *logon_delta;
-      s.session_logon = p.logon;
-    }
-    store.Append(std::move(s));
-  }
+}  // namespace detail
 
-  std::int64_t prev_start = 0;
-  std::int64_t prev_end = 0;
-  for (std::uint64_t i = 0; i < *iteration_count; ++i) {
-    const auto ds = reader.ReadSigned();
-    const auto de = reader.ReadSigned();
-    const auto attempts = reader.Read();
-    const auto successes = reader.Read();
-    if (!ds || !de || !attempts || !successes) {
-      return R::Err("truncated iteration metadata");
-    }
-    prev_start += *ds;
-    prev_end += *de;
-    IterationInfo info;
-    info.iteration = i;
-    info.start_t = prev_start;
-    info.end_t = prev_end;
-    info.attempts = static_cast<std::uint32_t>(*attempts);
-    info.successes = static_cast<std::uint32_t>(*successes);
-    store.AppendIteration(info);
-  }
-  CountTraceIo("read", bytes.size(), store.size());
+util::Result<TraceStore> DeserializeTrace(std::string_view bytes) {
+  obs::Span span("trace.deserialize");
+  using R = util::Result<TraceStore>;
+  TraceBlock decoded;
+  const auto machine_count = detail::DecodeLmtr1(bytes, decoded);
+  if (!machine_count.ok()) return R::Err(machine_count.error());
+  auto store = TraceStore::Adopt(machine_count.value(), std::move(decoded.cols),
+                                 std::move(decoded.users),
+                                 std::move(decoded.iterations));
+  if (store.ok()) CountTraceIo("read", bytes.size(), store.value().size());
   return store;
 }
 

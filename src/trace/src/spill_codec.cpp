@@ -4,6 +4,7 @@
 #include <span>
 #include <vector>
 
+#include "codec_detail.hpp"
 #include "labmon/obs/registry.hpp"
 #include "labmon/trace/binary_io.hpp"
 #include "labmon/util/varint.hpp"
@@ -15,14 +16,10 @@ namespace {
 constexpr std::string_view kLmsg1Magic = "LMSG1";
 constexpr std::string_view kLmsg2Magic = "LMSG2";
 
-// Same sanity bounds as the LMTR1 parser: a corrupt count must fail fast,
-// not drive a multi-gigabyte reserve.
+// A corrupt count must fail fast, not drive a multi-gigabyte reserve. The
+// user table and iteration rows bound their own counts by the bytes left
+// (binary_io.hpp).
 constexpr std::uint64_t kMaxSamples = std::uint64_t{1} << 32;
-constexpr std::uint64_t kMaxUsers = std::uint64_t{1} << 28;
-constexpr std::uint64_t kMaxIterations = std::uint64_t{1} << 28;
-constexpr std::uint64_t kMaxUserLen = 4096;
-// Fallback machine-id bound when the caller has no segment header count.
-constexpr std::uint64_t kMaxMachines = std::uint64_t{1} << 26;
 
 constexpr std::size_t kSpillColumnCount = [] {
   std::size_t n = 0;
@@ -46,18 +43,6 @@ constexpr const char* kColumnNames[kSpillColumnCount] = {
     "smart_power_cycles", "net_sent_b",
     "net_recv_b",       "has_session",
     "session_logon",    "user_id"};
-
-/// Idle seconds -> centiseconds, the same transform LMTR1 applies (the
-/// probe emits two decimals, so the value is exact and the decode-side
-/// `/100.0` is bit-identical across codecs). Unlike LMTR1 the cast is
-/// guarded: non-finite or out-of-range doubles (possible only from hostile
-/// inputs, never from the probe) map to 0 instead of undefined behaviour.
-std::int64_t IdleCentiseconds(double idle_s) noexcept {
-  const double cs = idle_s * 100.0 + 0.5;
-  constexpr double kBound = 9.0e18;
-  if (!(cs > -kBound && cs < kBound)) return 0;
-  return static_cast<std::int64_t>(cs);
-}
 
 std::size_t VarintLen(std::uint64_t v) noexcept {
   std::size_t len = 1;
@@ -202,12 +187,13 @@ class Lmsg1Codec final : public SpillCodec {
     out = SerializeTrace(block_store);
   }
 
+  /// Decodes the payload straight into the block's columns (the payload
+  /// header's machine count bounds the ids, as in DeserializeTrace).
   [[nodiscard]] util::Result<bool> DecodeBlock(
       std::string_view payload, std::size_t /*machine_count*/,
       TraceBlock& out) const override {
-    auto store = DeserializeTrace(payload);
-    if (!store.ok()) return util::Result<bool>::Err(store.error());
-    out.AssignFrom(store.value());
+    const auto decoded = detail::DecodeLmtr1(payload, out);
+    if (!decoded.ok()) return util::Result<bool>::Err(decoded.error());
     return true;
   }
 };
@@ -264,10 +250,7 @@ void Lmsg2Codec::EncodeBlock(const TraceStore& store, std::string& out) const {
   util::PutVarint(out, store.iterations().size());
   const std::span<const std::string> users = store.users();
   util::PutVarint(out, users.size());
-  for (const std::string& user : users) {
-    util::PutVarint(out, user.size());
-    out.append(user);
-  }
+  PutUserTable(out, users);
 
   CodecScratch& s = Scratch();
   std::uint32_t max_machine = 0;
@@ -326,7 +309,8 @@ void Lmsg2Codec::EncodeBlock(const TraceStore& store, std::string& out) const {
   machine_delta(c.boot_time);
   machine_delta(c.uptime_s);
   machine_delta_of(sizeof(double), [&](std::size_t i) {
-    return static_cast<std::uint64_t>(IdleCentiseconds(c.cpu_idle_s[i]));
+    return static_cast<std::uint64_t>(
+        detail::IdleCentiseconds(c.cpu_idle_s[i]));
   });
   machine_delta(c.ram_mb);
   machine_delta(c.mem_load_pct);
@@ -353,16 +337,7 @@ void Lmsg2Codec::EncodeBlock(const TraceStore& store, std::string& out) const {
   });
 
   // Iteration rows, delta-coded against the previous row like LMTR1.
-  std::int64_t prev_start = 0;
-  std::int64_t prev_end = 0;
-  for (const IterationInfo& it : store.iterations()) {
-    util::PutSignedVarint(out, it.start_t - prev_start);
-    util::PutSignedVarint(out, it.end_t - prev_end);
-    util::PutVarint(out, it.attempts);
-    util::PutVarint(out, it.successes);
-    prev_start = it.start_t;
-    prev_end = it.end_t;
-  }
+  PutIterationRows(out, store.iterations());
 
   CountColumnBytes(column_raw, column_encoded);
 }
@@ -380,20 +355,14 @@ util::Result<bool> Lmsg2Codec::DecodeBlock(std::string_view payload,
   if (!sample_count || !iteration_count || !user_count) {
     return R::Err("truncated LMSG2 block header");
   }
-  if (*sample_count > kMaxSamples || *user_count > kMaxUsers ||
-      *iteration_count > kMaxIterations) {
+  if (*sample_count > kMaxSamples) {
     return R::Err("implausible LMSG2 header counts");
   }
   const std::size_t n = static_cast<std::size_t>(*sample_count);
 
-  out.users.reserve(static_cast<std::size_t>(*user_count));
-  for (std::uint64_t i = 0; i < *user_count; ++i) {
-    const auto len = r.Read();
-    if (!len || *len > kMaxUserLen) return R::Err("garbled LMSG2 user table");
-    auto name = r.ReadBytes(static_cast<std::size_t>(*len));
-    if (!name) return R::Err("truncated LMSG2 user table");
-    out.users.push_back(std::move(*name));
-  }
+  auto users = ReadUserTable(r, *user_count);
+  if (!users.ok()) return R::Err("LMSG2 " + users.error());
+  out.users = std::move(users).value();
 
   CodecScratch& s = Scratch();
   std::size_t col = 0;
@@ -422,8 +391,7 @@ util::Result<bool> Lmsg2Codec::DecodeBlock(std::string_view payload,
   };
 
   TraceStore::Columns& cols = out.cols;
-  const std::uint64_t machine_bound =
-      machine_count > 0 ? machine_count : kMaxMachines;
+  const std::uint64_t machine_bound = MachineIdBound(machine_count);
 
   // machine — decoded first: every per-machine delta column keys on it.
   if (!read_tokens()) return column_error();
@@ -577,30 +545,9 @@ util::Result<bool> Lmsg2Codec::DecodeBlock(std::string_view payload,
   }
 
   // Iteration rows (numbered from zero; the segment reader renumbers).
-  std::int64_t prev_start = 0;
-  std::int64_t prev_end = 0;
-  out.iterations.reserve(static_cast<std::size_t>(*iteration_count));
-  for (std::uint64_t i = 0; i < *iteration_count; ++i) {
-    const auto ds = r.ReadSigned();
-    const auto de = r.ReadSigned();
-    const auto attempts = r.Read();
-    const auto successes = r.Read();
-    if (!ds || !de || !attempts || !successes) {
-      return R::Err("truncated LMSG2 iteration metadata");
-    }
-    if (*attempts > 0xffffffffull || *successes > 0xffffffffull) {
-      return R::Err("implausible LMSG2 iteration counts");
-    }
-    prev_start += *ds;
-    prev_end += *de;
-    IterationInfo info;
-    info.iteration = i;
-    info.start_t = prev_start;
-    info.end_t = prev_end;
-    info.attempts = static_cast<std::uint32_t>(*attempts);
-    info.successes = static_cast<std::uint32_t>(*successes);
-    out.iterations.push_back(info);
-  }
+  auto iterations = ReadIterationRows(r, *iteration_count);
+  if (!iterations.ok()) return R::Err("LMSG2 " + iterations.error());
+  out.iterations = std::move(iterations).value();
 
   if (!r.AtEnd()) return R::Err("trailing bytes after LMSG2 block");
   return true;

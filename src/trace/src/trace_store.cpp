@@ -1,9 +1,12 @@
 #include "labmon/trace/trace_store.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "labmon/util/csv.hpp"
+#include "labmon/util/parallel.hpp"
 #include "labmon/util/strings.hpp"
 
 namespace labmon::trace {
@@ -62,6 +65,95 @@ void TraceStore::AppendFrom(const Columns& src, std::size_t i,
     per_machine_.resize(std::max<std::size_t>(machine + 1, machine_count_));
   }
   per_machine_[machine].push_back(index);
+}
+
+util::Result<TraceStore> TraceStore::Adopt(
+    std::size_t machine_count, Columns columns,
+    std::vector<std::string> users, std::vector<IterationInfo> iterations) {
+  using R = util::Result<TraceStore>;
+  const std::size_t n = columns.t.size();
+  bool same_length = true;
+  ForEachColumn(
+      [&](auto member) { same_length &= (columns.*member).size() == n; });
+  if (!same_length) return R::Err("adopted columns differ in length");
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    return R::Err("too many samples for the per-machine index");
+  }
+
+  TraceStore store(machine_count);
+  store.user_ids_.reserve(users.size());
+  for (std::size_t id = 0; id < users.size(); ++id) {
+    if (!store.user_ids_.emplace(users[id], static_cast<std::uint32_t>(id))
+             .second) {
+      return R::Err("duplicate user '" + users[id] + "' in table");
+    }
+  }
+
+  // Rows are split into parts that validate and count per machine in
+  // parallel; each part then files its rows into the per-machine index at
+  // offsets fixed by the counts of the parts before it — a parallel
+  // counting sort whose index equals the one Append builds row by row.
+  constexpr std::size_t kMinRowsPerPart = std::size_t{1} << 16;
+  const std::size_t parts = std::clamp<std::size_t>(
+      n / kMinRowsPerPart, 1, util::DefaultWorkerCount());
+  const auto part_begin = [&](std::size_t part) { return n * part / parts; };
+  std::vector<std::vector<std::uint32_t>> part_counts(parts);
+  std::vector<std::string> errors(parts);
+  util::ParallelFor(parts, [&](std::size_t part) {
+    std::vector<std::uint32_t>& counts = part_counts[part];
+    counts.assign(machine_count, 0);
+    for (std::size_t i = part_begin(part); i < part_begin(part + 1); ++i) {
+      const std::uint32_t machine = columns.machine[i];
+      if (machine >= counts.size()) {
+        if (machine_count > 0) {
+          errors[part] = "machine id out of range";
+          return;
+        }
+        counts.resize(std::size_t{machine} + 1, 0);
+      }
+      ++counts[machine];
+      const bool valid_session =
+          columns.has_session[i] == 1
+              ? columns.user_id[i] < users.size()
+              : columns.has_session[i] == 0 &&
+                    columns.user_id[i] == kNoUser &&
+                    columns.session_logon[i] == 0;
+      if (!valid_session) {
+        errors[part] = "inconsistent session columns";
+        return;
+      }
+    }
+  });
+  for (const std::string& error : errors) {
+    if (!error.empty()) return R::Err(error);
+  }
+
+  std::size_t machines = 0;
+  for (const auto& counts : part_counts) {
+    machines = std::max(machines, counts.size());
+  }
+  // Counts become each part's first slot per machine.
+  for (auto& counts : part_counts) counts.resize(machines, 0);
+  store.per_machine_.resize(machines);
+  for (std::size_t m = 0; m < machines; ++m) {
+    std::uint32_t offset = 0;
+    for (auto& counts : part_counts) {
+      offset += std::exchange(counts[m], offset);
+    }
+    store.per_machine_[m].resize(offset);
+  }
+  util::ParallelFor(parts, [&](std::size_t part) {
+    std::vector<std::uint32_t>& next = part_counts[part];
+    for (std::size_t i = part_begin(part); i < part_begin(part + 1); ++i) {
+      const std::uint32_t machine = columns.machine[i];
+      store.per_machine_[machine][next[machine]++] =
+          static_cast<std::uint32_t>(i);
+    }
+  });
+  store.columns_ = std::move(columns);
+  store.users_ = std::move(users);
+  store.iterations_ = std::move(iterations);
+  return store;
 }
 
 void TraceStore::ClearSamples() {

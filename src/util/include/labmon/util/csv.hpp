@@ -81,7 +81,8 @@ struct CsvDocument {
 [[nodiscard]] Result<bool> WriteTextFile(const std::string& path,
                                          std::string_view content);
 
-/// Reads an entire file into a string.
+/// Reads an entire file into a string, byte for byte, with one sized read
+/// (an unseekable input such as a pipe is streamed instead).
 [[nodiscard]] Result<std::string> ReadTextFile(const std::string& path);
 
 }  // namespace labmon::util

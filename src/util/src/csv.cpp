@@ -120,9 +120,22 @@ Result<bool> WriteTextFile(const std::string& path, std::string_view content) {
 Result<std::string> ReadTextFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Result<std::string>::Err("cannot open for read: " + path);
-  std::ostringstream oss;
-  oss << in.rdbuf();
-  return oss.str();
+  // One sized read; only an unseekable input (a pipe) is streamed.
+  in.seekg(0, std::ios::end);
+  const std::streamoff size = in.tellg();
+  if (size < 0) {
+    in.clear();
+    std::ostringstream oss;
+    oss << in.rdbuf();
+    return oss.str();
+  }
+  in.seekg(0);
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  in.read(bytes.data(), size);
+  if (in.gcount() != size) {
+    return Result<std::string>::Err("short read: " + path);
+  }
+  return bytes;
 }
 
 }  // namespace labmon::util

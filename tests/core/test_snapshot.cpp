@@ -1,9 +1,11 @@
-// Snapshot layer: LMTR1 + sidecar round trip, fingerprint sensitivity, and
-// the corruption fallback of Experiment::RunCached.
+// Snapshot layer: chunked-trace + sidecar round trip, fingerprint
+// sensitivity, chunk edges, and the corruption fallback of
+// Experiment::RunCached.
 #include "labmon/core/snapshot.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "labmon/core/experiment.hpp"
@@ -26,6 +28,82 @@ std::string FreshDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/labmon_" + name;
   std::filesystem::remove_all(dir);
   return dir;
+}
+
+/// Column-for-column identity of two stores: every column, the user table,
+/// the iteration rows and every machine's sample index.
+void ExpectTracesIdentical(const trace::TraceStore& a,
+                           const trace::TraceStore& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.machine_count(), b.machine_count());
+  std::size_t column = 0;
+  trace::TraceStore::ForEachColumn([&](auto member) {
+    EXPECT_TRUE(a.columns().*member == b.columns().*member)
+        << "column " << column << " differs";
+    ++column;
+  });
+  ASSERT_EQ(a.users().size(), b.users().size());
+  for (std::size_t u = 0; u < a.users().size(); ++u) {
+    EXPECT_EQ(a.users()[u], b.users()[u]);
+  }
+  ASSERT_EQ(a.iterations().size(), b.iterations().size());
+  for (std::size_t i = 0; i < a.iterations().size(); ++i) {
+    EXPECT_EQ(a.iterations()[i].iteration, b.iterations()[i].iteration);
+    EXPECT_EQ(a.iterations()[i].start_t, b.iterations()[i].start_t);
+    EXPECT_EQ(a.iterations()[i].end_t, b.iterations()[i].end_t);
+    EXPECT_EQ(a.iterations()[i].attempts, b.iterations()[i].attempts);
+    EXPECT_EQ(a.iterations()[i].successes, b.iterations()[i].successes);
+  }
+  EXPECT_EQ(a.ResponsesPerMachine(), b.ResponsesPerMachine());
+  for (std::size_t m = 0; m < a.machine_count(); ++m) {
+    const auto x = a.MachineSamples(m);
+    const auto y = b.MachineSamples(m);
+    EXPECT_TRUE(std::equal(x.begin(), x.end(), y.begin(), y.end()))
+        << "machine " << m;
+  }
+}
+
+/// A result whose trace holds exactly `samples` synthetic rows over 37
+/// machines (values on the probe's centisecond grid, ~40 % in sessions).
+ExperimentResult SyntheticResult(std::size_t samples) {
+  constexpr std::uint32_t kMachines = 37;
+  ExperimentResult result;
+  result.days = 3;
+  result.perf_index.assign(kMachines, 1.5);
+  result.trace = trace::TraceStore(kMachines);
+  util::Rng rng(samples + 1);
+  for (std::size_t i = 0; i < samples; ++i) {
+    trace::SampleRecord r;
+    r.machine = static_cast<std::uint32_t>(i % kMachines);
+    r.iteration = static_cast<std::uint32_t>(i / kMachines);
+    r.t = 900 * static_cast<std::int64_t>(r.iteration) + r.machine;
+    r.boot_time = r.t - rng.UniformInt(0, 86400);
+    r.uptime_s = r.t - r.boot_time;
+    r.cpu_idle_s = static_cast<double>(rng.UniformInt(0, 8'640'000)) / 100.0;
+    r.ram_mb = 512;
+    r.mem_load_pct = static_cast<std::uint8_t>(rng.UniformInt(0, 100));
+    r.swap_load_pct = static_cast<std::uint8_t>(rng.UniformInt(0, 100));
+    r.disk_total_b = 80'000'000'000ULL;
+    r.disk_free_b = 40'000'000'000ULL +
+                    static_cast<std::uint64_t>(rng.UniformInt(0, 1 << 30));
+    r.smart_power_on_hours = 1000 + r.iteration / 4;
+    r.smart_power_cycles = 300 + r.machine;
+    r.net_sent_b = 1000 * static_cast<std::uint64_t>(i);
+    r.net_recv_b = 3000 * static_cast<std::uint64_t>(i);
+    if (rng.Bernoulli(0.4)) {
+      r.has_session = true;
+      r.user = "u" + std::to_string(rng.UniformInt(0, 50));
+      r.session_logon = r.t - rng.UniformInt(0, 40000);
+    }
+    result.trace.Append(r);
+  }
+  const std::size_t iterations = (samples + kMachines - 1) / kMachines;
+  for (std::size_t it = 0; it < iterations; ++it) {
+    const auto start = static_cast<std::int64_t>(900 * it);
+    result.trace.AppendIteration(
+        trace::IterationInfo{it, start, start + 30, kMachines, kMachines});
+  }
+  return result;
 }
 
 void ExpectResultsEqual(const ExperimentResult& a, const ExperimentResult& b) {
@@ -83,6 +161,76 @@ TEST(SnapshotTest, SerializeDeserializeRoundTripsBitIdentically) {
   const auto restored = DeserializeExperimentResult(bytes, fingerprint);
   ASSERT_TRUE(restored.ok()) << restored.error();
   ExpectResultsEqual(result, restored.value());
+}
+
+TEST(SnapshotTest, ChunkEdgesRoundTripColumnForColumn) {
+  // 0 samples (no chunk), exactly one full chunk, one full chunk plus one.
+  for (const std::size_t samples :
+       {std::size_t{0}, kSnapshotChunkSamples, kSnapshotChunkSamples + 1}) {
+    const ExperimentResult result = SyntheticResult(samples);
+    ASSERT_EQ(result.trace.size(), samples);
+    const std::string bytes = SerializeExperimentResult(result, 42);
+    const auto restored = DeserializeExperimentResult(bytes, 42);
+    ASSERT_TRUE(restored.ok()) << restored.error() << " (" << samples << ")";
+    ExpectResultsEqual(result, restored.value());
+    ExpectTracesIdentical(result.trace, restored.value().trace);
+    if (samples == 0) continue;
+
+    // The file ends with the last chunk's body; its checksum guards it.
+    std::string flipped = bytes;
+    flipped.back() = static_cast<char>(flipped.back() ^ 0x01);
+    const auto corrupt = DeserializeExperimentResult(flipped, 42);
+    ASSERT_FALSE(corrupt.ok());
+    const std::string last_chunk =
+        "chunk " + std::to_string((samples - 1) / kSnapshotChunkSamples);
+    EXPECT_NE(corrupt.error().find(last_chunk + " checksum"), std::string::npos)
+        << corrupt.error();
+  }
+}
+
+TEST(SnapshotTest, LoadedStoreEqualsTheRunsStoreColumnForColumn) {
+  const auto config = ShortConfig();
+  const auto result = Experiment::Run(config);
+  const auto fingerprint = FingerprintConfig(config);
+  const SnapshotCache cache(FreshDir("snapshot_columns"));
+  ASSERT_TRUE(cache.Store(fingerprint, result).ok());
+  const auto loaded = cache.Load(fingerprint);
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  ExpectTracesIdentical(result.trace, loaded.value().trace);
+}
+
+TEST(SnapshotTest, FileBytesDoNotDependOnTheWritersShardCount) {
+  auto one = ShortConfig();
+  one.shards = 1;
+  auto eight = ShortConfig();
+  eight.shards = 8;
+  const auto fingerprint = FingerprintConfig(one);
+  ASSERT_EQ(fingerprint, FingerprintConfig(eight));
+
+  const SnapshotCache cache_one(FreshDir("snapshot_shards1"));
+  const SnapshotCache cache_eight(FreshDir("snapshot_shards8"));
+  ASSERT_TRUE(cache_one.Store(fingerprint, Experiment::Run(one)).ok());
+  ASSERT_TRUE(cache_eight.Store(fingerprint, Experiment::Run(eight)).ok());
+  const auto bytes_one = util::ReadTextFile(cache_one.PathFor(fingerprint));
+  const auto bytes_eight = util::ReadTextFile(cache_eight.PathFor(fingerprint));
+  ASSERT_TRUE(bytes_one.ok());
+  ASSERT_TRUE(bytes_eight.ok());
+  EXPECT_TRUE(bytes_one.value() == bytes_eight.value());
+}
+
+TEST(SnapshotTest, VersionTwoHeaderIsRejectedAsStale) {
+  static_assert(kSnapshotFormatVersion == 3);
+  const auto config = ShortConfig();
+  const auto fingerprint = FingerprintConfig(config);
+  std::string bytes =
+      SerializeExperimentResult(Experiment::Run(config), fingerprint);
+  ASSERT_EQ(bytes[5], 3);  // one-byte version varint after "LMSS1"
+  bytes[5] = 2;
+  const auto stale = DeserializeExperimentResult(bytes, fingerprint);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_NE(stale.error().find("stale snapshot format (version 2"),
+            std::string::npos)
+      << stale.error();
 }
 
 TEST(SnapshotTest, FingerprintCoversBehaviourAffectingFields) {

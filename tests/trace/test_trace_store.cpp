@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <string>
+#include <vector>
 
 #include "labmon/util/parallel.hpp"
 
@@ -286,6 +289,81 @@ TEST(TraceStoreTest, ConcurrentFirstReadsAreSafe) {
       /*workers=*/8);
   EXPECT_TRUE(ok.load());
   EXPECT_EQ(total.load(), store.size());
+}
+
+// Adopt builds the per-machine index in parallel parts once a store holds
+// a few 64k-row parts; the result must equal the Append-built store.
+TEST(TraceStoreTest, AdoptEqualsAppendBuiltStore) {
+  constexpr std::uint32_t kMachines = 29;
+  const std::size_t rows = 3 * 65536 + 5;
+  for (const std::size_t machine_count :
+       {std::size_t{kMachines}, std::size_t{0}}) {
+    TraceStore appended(machine_count);
+    for (std::size_t i = 0; i < rows; ++i) {
+      // Uneven machine order so every part files rows for every machine.
+      const auto machine =
+          static_cast<std::uint32_t>((i * 7 + i / 97) % kMachines);
+      appended.Append(MakeTestRecord(
+          machine, static_cast<std::uint32_t>(i / kMachines),
+          static_cast<std::int64_t>(i), i % 3 == 0));
+    }
+    appended.AppendIteration(IterationInfo{0, 0, 30, 3, 2});
+    const std::vector<std::string> users(appended.users().begin(),
+                                         appended.users().end());
+    auto adopted = TraceStore::Adopt(
+        machine_count, appended.columns(), users,
+        std::vector<IterationInfo>(appended.iterations().begin(),
+                                   appended.iterations().end()));
+    ASSERT_TRUE(adopted.ok()) << adopted.error();
+    TraceStore& store = adopted.value();
+    ASSERT_EQ(store.size(), appended.size());
+    EXPECT_EQ(store.machine_count(), machine_count);
+    EXPECT_EQ(store.iterations().size(), 1u);
+    EXPECT_EQ(store.ResponsesPerMachine(), appended.ResponsesPerMachine());
+    for (std::size_t m = 0; m < kMachines; ++m) {
+      const auto a = appended.MachineSamples(m);
+      const auto b = store.MachineSamples(m);
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << m;
+    }
+    EXPECT_EQ(store.UserOf(0), "a000042");
+    // The user map was built: interning a known name reuses its id.
+    EXPECT_EQ(store.InternUserId("a000042"), 0u);
+    EXPECT_EQ(store.users().size(), 1u);
+  }
+}
+
+TEST(TraceStoreTest, AdoptRejectsInconsistentColumns) {
+  TraceStore base(4);
+  base.Append(MakeTestRecord(1, 0, 900, true));
+  base.Append(MakeTestRecord(2, 0, 905, false));
+  const std::vector<std::string> users{"a000042"};
+  const auto adopt = [&](TraceStore::Columns cols,
+                         std::vector<std::string> table) {
+    return TraceStore::Adopt(4, std::move(cols), std::move(table), {});
+  };
+  ASSERT_TRUE(adopt(base.columns(), users).ok());
+
+  auto short_column = base.columns();
+  short_column.net_recv_b.pop_back();
+  EXPECT_FALSE(adopt(short_column, users).ok());
+
+  auto bad_machine = base.columns();
+  bad_machine.machine[1] = 4;
+  EXPECT_FALSE(adopt(bad_machine, users).ok());
+
+  auto bad_flag = base.columns();
+  bad_flag.has_session[1] = 2;
+  EXPECT_FALSE(adopt(bad_flag, users).ok());
+
+  auto dangling = base.columns();
+  dangling.user_id[0] = 1;
+  EXPECT_FALSE(adopt(dangling, users).ok());
+
+  auto stray_logon = base.columns();
+  stray_logon.session_logon[1] = 7;
+  EXPECT_FALSE(adopt(stray_logon, users).ok());
+
+  EXPECT_FALSE(adopt(base.columns(), {"a000042", "a000042"}).ok());
 }
 
 }  // namespace

@@ -110,6 +110,26 @@ TEST(FileIoTest, WriteAndReadBack) {
   EXPECT_EQ(doc.value().rows[0][0], "42");
 }
 
+TEST(FileIoTest, EmptyFileReadsAsEmptyString) {
+  const std::string path = ::testing::TempDir() + "/labmon_csv_empty.bin";
+  ASSERT_TRUE(WriteTextFile(path, "").ok());
+  const auto text = ReadTextFile(path);
+  ASSERT_TRUE(text.ok()) << text.error();
+  EXPECT_TRUE(text.value().empty());
+}
+
+TEST(FileIoTest, BinaryBytesWithNulsRoundTrip) {
+  std::string bytes;
+  for (int i = 0; i < 3 * 256; ++i) bytes.push_back(static_cast<char>(i));
+  bytes += std::string("\0\0tail\0", 7);
+  ASSERT_EQ(bytes.size(), 3u * 256u + 7u);
+  const std::string path = ::testing::TempDir() + "/labmon_csv_binary.bin";
+  ASSERT_TRUE(WriteTextFile(path, bytes).ok());
+  const auto text = ReadTextFile(path);
+  ASSERT_TRUE(text.ok()) << text.error();
+  EXPECT_EQ(text.value(), bytes);
+}
+
 TEST(FileIoTest, MissingFileFails) {
   EXPECT_FALSE(ReadTextFile("/nonexistent/path/xyz").ok());
   EXPECT_FALSE(ReadCsvFile("/nonexistent/path/xyz").ok());

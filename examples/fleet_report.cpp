@@ -355,7 +355,8 @@ int main(int argc, char** argv) {
     // Harvest mode: schedule an opportunistic DAG on the idle machines of
     // the same simulated campus instead of running the monitoring report.
     util::Rng rng(config.campus.seed);
-    winsim::Fleet fleet = winsim::MakePaperFleet(rng);
+    winsim::Fleet fleet = winsim::MakePaperFleet(rng, config.prior_life,
+                                                 config.campus.scale_labs);
     workload::WorkloadDriver driver(fleet, config.campus);
     harvest::JobMixOptions mix;
     mix.kind = job_mix;

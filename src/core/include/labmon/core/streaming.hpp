@@ -1,10 +1,11 @@
 // Streaming campaign engine — the full experiment in O(block) memory.
 //
-// StreamingExperiment::Run drives the same per-lab simulation as
+// StreamingExperiment::Run drives the same per-lab collection slice as
 // Experiment::Run, but collection seals fixed-size, iteration-aligned
 // trace blocks as they fill instead of materialising each lab's trace:
 // blocks either stay in memory as a sealed block list or spill to disk as
-// LMSG1 segments (trace/segment.hpp). The merge phase then re-streams
+// segments in the configured spill codec (LMSG2 by default;
+// trace/segment.hpp, trace/spill_codec.hpp). The merge phase then re-streams
 // every lab through trace::StreamMergeBlocks and folds the merged blocks
 // straight into analysis::StreamingAnalysis, so the campaign's peak
 // memory is bounded by block size + per-machine analysis state — it does
@@ -49,10 +50,9 @@ struct StreamingOptions {
   /// either way.
   trace::SpillCodecId spill_codec = trace::kDefaultSpillCodec;
   /// Online anomaly detection: |z| threshold on per-machine memory load
-  /// and CPU idle deltas. 0 disables the detector.
+  /// and CPU idle deltas (warm-up: analysis::AnomalyOptions::min_samples).
+  /// 0 disables the detector.
   double anomaly_threshold = 0.0;
-  /// Warm-up observations per machine-metric before scoring starts.
-  std::uint64_t anomaly_min_samples = 32;
   /// Optional JSONL sink for anomaly records (not owned).
   obs::JsonlWriter* anomaly_writer = nullptr;
 
@@ -62,10 +62,6 @@ struct StreamingOptions {
   /// the merge stage (blocks). Small rings bound memory and apply
   /// backpressure to fast shards; output is identical at any capacity.
   std::size_t ring_capacity = 64;
-  /// Lockstep window length in collection periods: every lab is advanced
-  /// through window w before any lab starts w+1, so complete iteration
-  /// fronts reach the merge while later windows are still simulating.
-  std::size_t window_iterations = 16;
   /// Worker budget for the parallel per-front merge sort engaged when the
   /// staging ring backs up. 0 picks a small hardware-derived default.
   std::size_t merge_sort_workers = 0;
@@ -175,9 +171,9 @@ class StreamingExperiment {
 /// collection, iteration-front merge, analysis fold — run concurrently,
 /// coupled by bounded staging rings, instead of strictly in sequence.
 ///
-/// Shard workers advance their labs in lockstep windows of
-/// `window_iterations` collection periods and seal iteration-aligned
-/// blocks into a bounded MPSC staging ring at every window boundary. A
+/// Shard workers advance their labs in lockstep windows of a fixed number
+/// of collection periods and seal iteration-aligned blocks into a bounded
+/// MPSC staging ring at every window boundary. A
 /// dedicated merge thread drains the ring into a trace::MergeFrontier,
 /// which emits merged blocks the moment an iteration front is complete
 /// across all labs — it never waits for any lab to finish its campaign.
@@ -188,10 +184,9 @@ class StreamingExperiment {
 /// steady state allocates nothing on the merge path.
 ///
 /// The result is bit-identical to StreamingExperiment::Run (stream hash,
-/// run stats, all analyses) at any shard count, window length, block size
-/// or ring capacity, and checkpoints interoperate with streaming spill
-/// dirs in both directions (pinned by tests/core/
-/// test_pipelined_determinism).
+/// run stats, all analyses) at any shard count, block size or ring
+/// capacity, and checkpoints interoperate with streaming spill dirs in
+/// both directions (pinned by tests/core/test_pipelined_determinism).
 class PipelinedExperiment {
  public:
   [[nodiscard]] static StreamingExperimentResult Run(

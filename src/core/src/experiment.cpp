@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "labmon/core/snapshot.hpp"
-#include "labmon/ddc/w32_probe.hpp"
-#include "labmon/faultsim/fault_injector.hpp"
 #include "labmon/obs/prof.hpp"
 #include "labmon/obs/registry.hpp"
 #include "labmon/obs/span.hpp"
@@ -14,9 +12,7 @@
 #include "labmon/trace/sink.hpp"
 #include "labmon/util/log.hpp"
 #include "labmon/util/parallel.hpp"
-#include "labmon/util/strings.hpp"
-#include "labmon/winsim/paper_specs.hpp"
-#include "labmon/workload/profile.hpp"
+#include "lab_run.hpp"
 
 namespace labmon::core {
 
@@ -79,11 +75,8 @@ std::size_t ReservePerMachine(const workload::CampusConfig& campus) {
 
 /// What one shard produces; merged on the main thread afterwards.
 struct ShardOutput {
-  ddc::RunStats stats;             ///< attempt tallies summed over the labs
-  workload::GroundTruth truth;
-  std::uint64_t parse_failures = 0;
-  std::uint64_t crosscheck_mismatches = 0;
-  double wall_s = 0.0;             ///< real time the shard's thread spent
+  detail::LabTally tally;  ///< summed over the shard's labs
+  double wall_s = 0.0;     ///< real time the shard's thread spent
 };
 
 }  // namespace
@@ -96,27 +89,12 @@ ExperimentResult Experiment::Run(const ExperimentConfig& config) {
   obs::Span run_span("experiment.run");
   run_span.SetSimRange(0, config.campus.EndTime());
   const auto run_t0 = std::chrono::steady_clock::now();
-  util::Rng rng(config.campus.seed);
-  winsim::Fleet fleet = [&] {
-    obs::Span build_span("experiment.build_fleet");
-    obs::prof::PhaseScope prof_scope(obs::prof::Phase::kBuildFleet);
-    return winsim::MakePaperFleet(rng, config.prior_life,
-                                  config.campus.scale_labs);
-  }();
-
-  const std::size_t lab_count = fleet.lab_count();
-  const std::size_t shard_count = std::min(
-      lab_count, config.shards > 0 ? static_cast<std::size_t>(config.shards)
-                                   : util::DefaultWorkerCount());
-  const std::vector<LabShard> shards =
-      PartitionLabsByMachines(fleet, std::max<std::size_t>(1, shard_count));
-
-  // Campus-global behavioural context, computed once and shared read-only
-  // by every shard (its draws come from dedicated substreams).
-  const workload::CampusProfile profile = [&] {
-    obs::prof::PhaseScope prof_scope(obs::prof::Phase::kBuildFleet);
-    return workload::CampusProfile::Build(fleet, config.campus);
-  }();
+  // Campus-global fleet and behavioural context, built once and shared by
+  // every shard (the profile's draws come from dedicated substreams).
+  detail::Campaign campaign(config);
+  const winsim::Fleet& fleet = campaign.fleet;
+  const std::vector<LabShard> shards = PartitionLabsByMachines(
+      fleet, detail::ClampWorkers(config.shards, fleet.lab_count()));
 
   ExperimentResult result;
   result.days = config.campus.days;
@@ -127,7 +105,7 @@ ExperimentResult Experiment::Run(const ExperimentConfig& config) {
                   " machines (" + std::to_string(shards.size()) + " shards)");
 
   // One trace per lab, merged below; one output per shard.
-  std::vector<trace::TraceStore> lab_traces(lab_count);
+  std::vector<trace::TraceStore> lab_traces(fleet.lab_count());
   std::vector<ShardOutput> outputs(shards.size());
   const auto collect_t0 = std::chrono::steady_clock::now();
   {
@@ -139,62 +117,17 @@ ExperimentResult Experiment::Run(const ExperimentConfig& config) {
       shard_span.SetSimRange(0, config.campus.EndTime());
       obs::prof::ShardScope prof_shard(static_cast<std::uint32_t>(s));
       obs::prof::PhaseScope prof_collect(obs::prof::Phase::kCollect);
-      ShardOutput& out = outputs[s];
       for (std::size_t lab = shards[s].lab_begin; lab < shards[s].lab_end;
            ++lab) {
-        const winsim::LabInfo& info = fleet.labs()[lab];
-        workload::WorkloadDriver driver(fleet, config.campus, profile, lab,
-                                        lab + 1);
         trace::TraceStore& store = lab_traces[lab];
         store.set_machine_count(fleet.size());
-        store.Reserve(reserve_per_machine * info.count);
+        store.Reserve(reserve_per_machine * fleet.labs()[lab].count);
         trace::TraceStoreSink sink(store);
-        ddc::W32Probe probe;
-        ddc::CoordinatorConfig collector = config.collector;
-        collector.structured_fast_path = config.structured_fast_path;
-        collector.first_machine = info.first;
-        collector.machine_count = info.count;
-        collector.aligned_schedule = true;
-        collector.seed = util::DeriveSeed(
-            config.collector.seed, util::seed_stream::kCollector, lab);
-        // Per-lab injector: a plan copy on the lab's own fault substream, so
-        // fault draws are independent of how labs are grouped into shards.
-        faultsim::FaultPlan plan = config.fault_plan;
-        plan.seed = util::DeriveSeed(config.fault_plan.seed,
-                                     util::seed_stream::kFaults, lab);
-        faultsim::FaultInjector injector(plan, collector.metrics);
-        if (injector.active()) {
-          injector.BindFleet(fleet);
-          collector.faults = &injector;
-        }
-        auto advance = [&driver](util::SimTime t) {
-          // Hot path (one call per machine-sample): sampled, not timed
-          // in full, to stay inside the profiler's overhead budget.
-          obs::prof::SampledPhaseScope prof_scope(obs::prof::Phase::kSimulate);
-          driver.AdvanceTo(t);
-        };
-        ddc::Coordinator coordinator(fleet, probe, collector, sink, advance);
-        const ddc::RunStats stats =
-            coordinator.Run(0, config.campus.EndTime());
-        driver.FinishAt(config.campus.EndTime());
-
-        out.stats.attempts += stats.attempts;
-        out.stats.successes += stats.successes;
-        out.stats.timeouts += stats.timeouts;
-        out.stats.errors += stats.errors;
-        out.stats.missing += stats.missing;
-        out.stats.corrupt += stats.corrupt;
-        out.stats.recovered_after_retry += stats.recovered_after_retry;
-        out.stats.retry_attempts += stats.retry_attempts;
-        out.stats.retried_collections += stats.retried_collections;
-        out.stats.faults_injected += stats.faults_injected;
-        out.truth += driver.ground_truth();
-        out.parse_failures += sink.parse_failures();
-        out.crosscheck_mismatches += sink.crosscheck_mismatches();
+        outputs[s].tally += detail::LabRun(campaign, lab, sink, sink).Run();
       }
-      out.wall_s = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
+      outputs[s].wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
     };
     util::ParallelFor(shards.size(), run_shard, shards.size());
   }
@@ -223,61 +156,10 @@ ExperimentResult Experiment::Run(const ExperimentConfig& config) {
   // Deterministic merge: iteration-major, (t, machine)-ordered. The result
   // is the same for every shard count and thread schedule.
   result.trace = trace::MergeTraces(lab_traces);
-  for (const ShardOutput& out : outputs) {
-    result.run_stats.attempts += out.stats.attempts;
-    result.run_stats.successes += out.stats.successes;
-    result.run_stats.timeouts += out.stats.timeouts;
-    result.run_stats.errors += out.stats.errors;
-    result.run_stats.missing += out.stats.missing;
-    result.run_stats.corrupt += out.stats.corrupt;
-    result.run_stats.recovered_after_retry += out.stats.recovered_after_retry;
-    result.run_stats.retry_attempts += out.stats.retry_attempts;
-    result.run_stats.retried_collections += out.stats.retried_collections;
-    result.run_stats.faults_injected += out.stats.faults_injected;
-    result.ground_truth += out.truth;
-    result.parse_failures += out.parse_failures;
-    result.crosscheck_mismatches += out.crosscheck_mismatches;
-  }
-  // Iteration aggregates from the merged (campus-wide) iteration records:
-  // an iteration spans the earliest lab start to the latest lab end.
-  {
-    double sum_s = 0.0;
-    for (const trace::IterationInfo& it : result.trace.iterations()) {
-      const double duration = static_cast<double>(it.end_t - it.start_t);
-      sum_s += duration;
-      result.run_stats.max_iteration_s =
-          std::max(result.run_stats.max_iteration_s, duration);
-    }
-    const std::size_t n = result.trace.iterations().size();
-    result.run_stats.iterations = n;
-    result.run_stats.mean_iteration_s =
-        n ? sum_s / static_cast<double>(n) : 0.0;
-    result.run_stats.total_span_s =
-        n ? static_cast<double>(result.trace.iterations().back().end_t) : 0.0;
-  }
-  if (result.crosscheck_mismatches != 0) {
-    util::log::Warn(std::to_string(result.crosscheck_mismatches) +
-                    " structured/text cross-check mismatches — the fast-path "
-                    "codec diverged from the wire format");
-  }
-  result.hardware = fleet.HardwareTotals();
-  result.perf_index.reserve(fleet.size());
-  for (std::size_t i = 0; i < fleet.size(); ++i) {
-    result.perf_index.push_back(fleet.machine(i).spec().CombinedIndex());
-  }
-  for (const auto& lab : fleet.labs()) {
-    const auto& spec = fleet.machine(lab.first).spec();
-    LabSummary summary;
-    summary.name = lab.name;
-    summary.machine_count = lab.count;
-    summary.cpu_model = spec.cpu_model;
-    summary.cpu_ghz = spec.cpu_ghz;
-    summary.ram_mb = spec.ram_mb;
-    summary.disk_gb = spec.disk_gb;
-    summary.int_index = spec.int_index;
-    summary.fp_index = spec.fp_index;
-    result.labs.push_back(std::move(summary));
-  }
+  detail::LabTally total;
+  for (const ShardOutput& out : outputs) total += out.tally;
+  detail::InstallTotals(result, total, result.trace.iterations());
+  detail::FillFleetSummaries(result, fleet);
   // Critical-path share: fraction of the run's wall time spent outside the
   // sharded collect region (fleet build, merge, aggregation) — the serial
   // work that caps any shard-count speedup (Amdahl). Exposed for the

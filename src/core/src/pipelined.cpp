@@ -14,8 +14,9 @@
 //   StreamingAnalysisResult + stream hash
 //
 // Every lab is advanced through window w before any lab starts w+1
-// (Coordinator::Begin/StepUntil/Finish keeps the probe/fault sequence
-// bit-identical to one Run() call), so after each window the merge
+// (the Begin/StepUntil/Finish of detail::LabRun, the per-lab slice all
+// three engines share, keeps the probe/fault sequence bit-identical to
+// one Run() call), so after each window the merge
 // frontier holds complete iteration fronts and emits merged blocks while
 // later windows are still simulating. Block buffers recycle backwards:
 // the frontier hands consumed collection blocks to per-shard pools the
@@ -31,31 +32,21 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "labmon/core/snapshot.hpp"
 #include "labmon/core/streaming.hpp"
-#include "labmon/ddc/w32_probe.hpp"
-#include "labmon/faultsim/fault_injector.hpp"
 #include "labmon/obs/prof.hpp"
 #include "labmon/obs/registry.hpp"
 #include "labmon/obs/span.hpp"
 #include "labmon/trace/merge_frontier.hpp"
-#include "labmon/trace/segment.hpp"
-#include "labmon/trace/sink.hpp"
 #include "labmon/util/log.hpp"
 #include "labmon/util/parallel.hpp"
 #include "labmon/util/staging_ring.hpp"
-#include "labmon/winsim/paper_specs.hpp"
-#include "labmon/workload/profile.hpp"
-#include "streaming_detail.hpp"
+#include "lab_run.hpp"
 
 namespace labmon::core {
 
@@ -81,147 +72,16 @@ struct StagedBlock {
 /// empty (counted as an allocation) — the caller falls back to new.
 using BlockPool = util::RecyclingPool<std::unique_ptr<trace::TraceBlock>>;
 
-/// The pipelined counterpart of streaming.cpp's SpillingSink: samples
-/// append to the lab's working store; sealing copies the store into a
-/// pooled heap block pushed onto the collect ring (and, when spilling,
-/// also appends it to the lab's segment so the checkpoint protocol is
-/// unchanged). Seals happen at the block budget *and* at every window
-/// boundary, so blocks stay iteration-aligned and fronts keep advancing
-/// even in iteration-sparse windows.
-class PipelineSink final : public ddc::SampleSink {
- public:
-  PipelineSink(trace::TraceStore& store, std::size_t block_samples,
-               trace::SegmentWriter* writer,
-               util::StagingRing<StagedBlock>& ring, BlockPool& pool,
-               std::size_t lab)
-      : inner_(store),
-        store_(&store),
-        block_samples_(std::max<std::size_t>(1, block_samples)),
-        writer_(writer),
-        ring_(&ring),
-        pool_(&pool),
-        lab_(lab) {}
+std::unique_ptr<trace::TraceBlock> AcquireBlock(BlockPool& pool) {
+  std::unique_ptr<trace::TraceBlock> block = pool.Acquire();
+  return block ? std::move(block) : std::make_unique<trace::TraceBlock>();
+}
 
-  ddc::SampleVerdict OnSample(const ddc::CollectedSample& sample) override {
-    return inner_.OnSample(sample);
-  }
-
-  void OnIterationEnd(std::uint64_t iteration, util::SimTime start_time,
-                      util::SimTime end_time) override {
-    inner_.OnIterationEnd(iteration, start_time, end_time);
-    if (store_->size() >= block_samples_) Seal();
-  }
-
-  /// Window-boundary / end-of-run seal of whatever is buffered.
-  void SealPending() {
-    if (store_->size() > 0 || !store_->iterations().empty()) Seal();
-  }
-
-  /// Publishes the lab's end-of-stream marker; false when the ring was
-  /// cancelled (error path — the marker no longer matters).
-  bool PublishFinal() {
-    StagedBlock item;
-    item.lab = lab_;
-    item.final_block = true;
-    return ring_->Push(std::move(item));
-  }
-
-  [[nodiscard]] std::uint64_t blocks_sealed() const noexcept {
-    return blocks_sealed_;
-  }
-  [[nodiscard]] const std::string& error() const noexcept { return error_; }
-  [[nodiscard]] const trace::TraceStoreSink& inner() const noexcept {
-    return inner_;
-  }
-
- private:
-  void Seal() {
-    obs::prof::PhaseScope prof_scope(obs::prof::Phase::kStage);
-    if (writer_ != nullptr) {
-      if (auto appended = writer_->Append(*store_);
-          !appended.ok() && error_.empty()) {
-        error_ = appended.error();
-      }
-    }
-    std::unique_ptr<trace::TraceBlock> block = pool_->Acquire();
-    if (!block) block = std::make_unique<trace::TraceBlock>();
-    block->AssignFrom(*store_);
-    StagedBlock item;
-    item.lab = lab_;
-    item.block = std::move(block);
-    ring_->Push(std::move(item));  // false only when cancelled (error path)
-    ++blocks_sealed_;
-    store_->ClearSamples();
-  }
-
-  trace::TraceStoreSink inner_;
-  trace::TraceStore* store_;
-  std::size_t block_samples_;
-  trace::SegmentWriter* writer_;
-  util::StagingRing<StagedBlock>* ring_;
-  BlockPool* pool_;
-  std::size_t lab_;
-  std::uint64_t blocks_sealed_ = 0;
-  std::string error_;
-};
-
-/// Everything one live lab keeps alive across windows: the behaviour
-/// driver, working store, sink, probe, injector and the incrementally
-/// driven coordinator. Heap-allocated and never moved, so the
-/// FunctionRef-bound advance hook and the coordinator's references stay
-/// valid for the whole run.
-class LabRun {
- public:
-  LabRun(winsim::Fleet& fleet, const workload::CampusConfig& campus,
-         const workload::CampusProfile& profile, std::size_t lab,
-         std::size_t machine_count, std::size_t reserve,
-         const ddc::CoordinatorConfig& collector,
-         const faultsim::FaultPlan& plan,
-         std::unique_ptr<trace::SegmentWriter> writer,
-         std::size_t block_samples, util::StagingRing<StagedBlock>& ring,
-         BlockPool& pool)
-      : driver_(fleet, campus, profile, lab, lab + 1),
-        store_(machine_count),
-        writer_(std::move(writer)),
-        sink_(store_, block_samples, writer_.get(), ring, pool, lab),
-        injector_(plan, collector.metrics) {
-    store_.Reserve(reserve);
-    ddc::CoordinatorConfig config = collector;
-    if (injector_.active()) {
-      injector_.BindFleet(fleet);
-      config.faults = &injector_;
-    }
-    coordinator_.emplace(fleet, probe_, config, sink_,
-                         ddc::Coordinator::AdvanceFn(advance_));
-  }
-
-  [[nodiscard]] ddc::Coordinator& coordinator() noexcept {
-    return *coordinator_;
-  }
-  [[nodiscard]] PipelineSink& sink() noexcept { return sink_; }
-  [[nodiscard]] workload::WorkloadDriver& driver() noexcept { return driver_; }
-  [[nodiscard]] trace::SegmentWriter* writer() noexcept {
-    return writer_.get();
-  }
-
- private:
-  struct Advance {
-    workload::WorkloadDriver* driver;
-    void operator()(util::SimTime t) const {
-      obs::prof::SampledPhaseScope prof_scope(obs::prof::Phase::kSimulate);
-      driver->AdvanceTo(t);
-    }
-  };
-
-  workload::WorkloadDriver driver_;
-  trace::TraceStore store_;
-  std::unique_ptr<trace::SegmentWriter> writer_;
-  PipelineSink sink_;
-  ddc::W32Probe probe_;
-  faultsim::FaultInjector injector_;
-  Advance advance_{&driver_};
-  std::optional<ddc::Coordinator> coordinator_;
-};
+/// Lockstep window length in collection periods: every lab is advanced
+/// through window w before any lab starts w+1, so complete iteration
+/// fronts reach the merge while later windows are still simulating.
+/// Output-invariant (any ascending window partition is bit-identical).
+constexpr std::size_t kWindowIterations = 16;
 
 }  // namespace
 
@@ -235,71 +95,16 @@ StreamingExperimentResult PipelinedExperiment::Run(
   run_span.SetSimRange(0, config.campus.EndTime());
   const auto run_t0 = Clock::now();
 
-  util::Rng rng(config.campus.seed);
-  winsim::Fleet fleet = [&] {
-    obs::Span build_span("experiment.build_fleet");
-    obs::prof::PhaseScope prof_scope(obs::prof::Phase::kBuildFleet);
-    return winsim::MakePaperFleet(rng, config.prior_life,
-                                  config.campus.scale_labs);
-  }();
-  const workload::CampusProfile profile = [&] {
-    obs::prof::PhaseScope prof_scope(obs::prof::Phase::kBuildFleet);
-    return workload::CampusProfile::Build(fleet, config.campus);
-  }();
-
+  detail::SealingRun run(config, options);
+  if (!run.Prepare()) return std::move(run.result);
+  StreamingExperimentResult& result = run.result;
+  const winsim::Fleet& fleet = run.campaign.fleet;
   const std::size_t lab_count = fleet.lab_count();
   const std::size_t machine_count = fleet.size();
-  const bool spill = !options.spill_dir.empty();
-  const std::uint64_t fingerprint = FingerprintConfig(config);
   const util::SimTime horizon = config.campus.EndTime();
 
-  StreamingExperimentResult result;
-  result.days = config.campus.days;
-  if (spill) result.spill.codec = trace::SpillCodecName(options.spill_codec);
-  std::mutex error_mutex;
-  auto record_error = [&](std::string message) {
-    const std::scoped_lock lock(error_mutex);
-    result.errors.push_back(std::move(message));
-  };
-  std::mutex spill_mutex;
-
-  if (spill) {
-    std::error_code ec;
-    std::filesystem::create_directories(options.spill_dir, ec);
-    if (ec) {
-      result.errors.push_back("cannot create spill dir: " +
-                              options.spill_dir);
-      return result;
-    }
-  }
-
-  std::vector<detail::LabCheckpoint> checkpoints(lab_count);
-  std::vector<char> resumed(lab_count, 0);
-  if (options.resume && spill) {
-    for (std::size_t lab = 0; lab < lab_count; ++lab) {
-      detail::LabCheckpoint cp;
-      if (!detail::LoadSidecar(detail::SidecarPath(options.spill_dir, lab),
-                               fingerprint, lab, cp)) {
-        continue;
-      }
-      auto reader = trace::SegmentReader::Open(
-          detail::SegmentPath(options.spill_dir, lab));
-      if (!reader.ok() || reader.value().machine_count() != machine_count) {
-        continue;
-      }
-      checkpoints[lab] = cp;
-      resumed[lab] = 1;
-      ++result.labs_resumed;
-    }
-  }
-
-  const std::size_t workers = std::min(
-      std::max<std::size_t>(1, lab_count),
-      std::max<std::size_t>(1, config.shards > 0
-                                   ? static_cast<std::size_t>(config.shards)
-                                   : util::DefaultWorkerCount()));
-  const std::vector<LabShard> shards =
-      PartitionLabsByMachines(fleet, workers);
+  const std::vector<LabShard> shards = PartitionLabsByMachines(
+      fleet, detail::ClampWorkers(config.shards, lab_count));
   std::vector<std::size_t> shard_of_lab(lab_count, 0);
   for (std::size_t s = 0; s < shards.size(); ++s) {
     for (std::size_t lab = shards[s].lab_begin; lab < shards[s].lab_end;
@@ -307,49 +112,24 @@ StreamingExperimentResult PipelinedExperiment::Run(
       shard_of_lab[lab] = s;
     }
   }
-  std::size_t live_labs = 0;
-  for (std::size_t lab = 0; lab < lab_count; ++lab) {
-    if (!resumed[lab]) ++live_labs;
-  }
+  const bool any_live = result.labs_resumed < lab_count;
 
   const util::SimTime period =
       config.collector.period > 0 ? config.collector.period : horizon;
-  const util::SimTime window_span = std::max<util::SimTime>(
-      period,
-      static_cast<util::SimTime>(
-          std::max<std::size_t>(1, options.window_iterations)) *
-          period);
+  const util::SimTime window_span =
+      static_cast<util::SimTime>(kWindowIterations) * period;
 
   util::log::Info(
       "pipelining " + std::to_string(config.campus.days) +
       "-day campaign over " + std::to_string(machine_count) + " machines (" +
       std::to_string(shards.size()) + " shards, window " +
-      std::to_string(options.window_iterations) + " iterations, ring " +
+      std::to_string(kWindowIterations) + " iterations, ring " +
       std::to_string(options.ring_capacity) + " blocks" +
-      (spill ? ", spill to " + options.spill_dir : "") +
+      (run.spill ? ", spill to " + options.spill_dir : "") +
       (result.labs_resumed
            ? ", " + std::to_string(result.labs_resumed) + " labs resumed"
            : "") +
       ")");
-
-  // Fold configuration needs the fleet summaries, so fill them up front.
-  std::vector<analysis::LabKey> keys = detail::FillFleetSummaries(result, fleet);
-  analysis::StreamingAnalysisConfig fold_config;
-  fold_config.machine_count = machine_count;
-  fold_config.perf_index = result.perf_index;
-  fold_config.labs = std::move(keys);
-  fold_config.experiment_days = config.campus.days;
-  analysis::StreamingAnalysis fold(std::move(fold_config));
-
-  std::unique_ptr<analysis::AnomalyDetector> detector;
-  if (options.anomaly_threshold > 0.0) {
-    analysis::AnomalyOptions anomaly_options;
-    anomaly_options.threshold = options.anomaly_threshold;
-    anomaly_options.min_samples = options.anomaly_min_samples;
-    detector = std::make_unique<analysis::AnomalyDetector>(
-        machine_count, anomaly_options, options.anomaly_writer);
-    fold.AttachAnomalyDetector(detector.get());
-  }
 
   // Pipeline plumbing. Declared before the worker threads (which capture
   // everything by reference) and destroyed after them.
@@ -363,9 +143,12 @@ StreamingExperimentResult PipelinedExperiment::Run(
   }
   util::RecyclingPool<trace::TraceBlock> merged_pool;
 
-  std::vector<std::unique_ptr<LabRun>> runs(lab_count);
-  std::vector<char> lab_failed(lab_count, 0);
+  std::vector<std::unique_ptr<detail::SealedLab>> live(lab_count);
   std::atomic<bool> any_failed{false};
+  const auto fail = [&](std::string message) {
+    run.Fail(std::move(message));
+    any_failed.store(true);
+  };
   std::vector<double> shard_busy_s(shards.size(), 0.0);
 
   // Merge-stage outputs, written by the merge thread before it closes the
@@ -437,23 +220,20 @@ StreamingExperimentResult PipelinedExperiment::Run(
         merged_blocks = frontier.blocks();
         merge_clean = true;
       } else {
-        record_error("pipelined merge ended with incomplete lab streams");
+        run.Fail("pipelined merge ended with incomplete lab streams");
       }
     }
     fold_ring.Close();
   });
 
   std::jthread fold_thread([&] {
-    stream_hash =
-        fold.ConsumeRing(fold_ring, &merged_pool, trace::kSampleStreamHashSeed);
+    stream_hash = run.fold.ConsumeRing(fold_ring, &merged_pool,
+                                       trace::kSampleStreamHashSeed);
     // merge_clean was written before fold_ring.Close(), which happens-
     // before ConsumeRing's final (false) Pop.
     if (!merge_clean || fold_ring.cancelled()) return;
-    summary_store = trace::TraceStore(machine_count);
-    for (const trace::IterationInfo& info : merged_iterations) {
-      summary_store.AppendIteration(info);
-    }
-    analysis_result = fold.Finish(summary_store);
+    summary_store = detail::SummaryStore(machine_count, merged_iterations);
+    analysis_result = run.fold.Finish(summary_store);
     fold_finished = true;
   });
 
@@ -464,38 +244,26 @@ StreamingExperimentResult PipelinedExperiment::Run(
     replay_thread = std::jthread([&] {
       obs::prof::PhaseScope prof_stage(obs::prof::Phase::kStage);
       for (std::size_t lab = 0; lab < lab_count; ++lab) {
-        if (!resumed[lab]) continue;
+        if (!run.resumed[lab]) continue;
         auto opened = trace::SegmentReader::Open(
             detail::SegmentPath(options.spill_dir, lab));
         if (!opened.ok()) {
-          record_error(opened.error());
-          any_failed.store(true);
+          fail(opened.error());
           continue;
         }
         trace::SegmentReader reader = std::move(opened).value();
         BlockPool& pool = *shard_pools[shard_of_lab[lab]];
         while (const trace::TraceBlock* next = reader.Next()) {
-          std::unique_ptr<trace::TraceBlock> block = pool.Acquire();
-          if (!block) block = std::make_unique<trace::TraceBlock>();
+          std::unique_ptr<trace::TraceBlock> block = AcquireBlock(pool);
           *block = *next;
-          StagedBlock item;
-          item.lab = lab;
-          item.block = std::move(block);
-          if (!collect_ring.Push(std::move(item))) return;  // cancelled
+          if (!collect_ring.Push({lab, false, std::move(block)})) return;
         }
         if (reader.failed()) {
-          record_error(reader.error());
-          any_failed.store(true);
+          fail(reader.error());
           continue;
         }
-        {
-          const std::scoped_lock lock(spill_mutex);
-          detail::AccumulateSpillDecode(result.spill, reader.codec_stats());
-        }
-        StagedBlock fin;
-        fin.lab = lab;
-        fin.final_block = true;
-        if (!collect_ring.Push(std::move(fin))) return;
+        run.AddDecodeStats(reader);
+        if (!collect_ring.Push({lab, true, nullptr})) return;  // cancelled
       }
     });
   }
@@ -523,134 +291,71 @@ StreamingExperimentResult PipelinedExperiment::Run(
       obs::prof::PhaseScope prof_collect(obs::prof::Phase::kCollect);
       for (std::size_t lab = shards[s].lab_begin; lab < shards[s].lab_end;
            ++lab) {
-        if (resumed[lab] || lab_failed[lab]) continue;
-        if (!runs[lab]) {
-          const winsim::LabInfo& info = fleet.labs()[lab];
-          std::unique_ptr<trace::SegmentWriter> writer;
-          if (spill) {
-            auto opened = trace::SegmentWriter::Open(
-                detail::SegmentPath(options.spill_dir, lab), machine_count,
-                options.spill_codec);
-            if (!opened.ok()) {
-              record_error(opened.error());
-              lab_failed[lab] = 1;
-              any_failed.store(true);
-              continue;
-            }
-            writer = std::make_unique<trace::SegmentWriter>(
-                std::move(opened).value());
-          }
-          ddc::CoordinatorConfig collector = config.collector;
-          collector.structured_fast_path = config.structured_fast_path;
-          collector.first_machine = info.first;
-          collector.machine_count = info.count;
-          collector.aligned_schedule = true;
-          collector.seed = util::DeriveSeed(
-              config.collector.seed, util::seed_stream::kCollector, lab);
-          faultsim::FaultPlan plan = config.fault_plan;
-          plan.seed = util::DeriveSeed(config.fault_plan.seed,
-                                       util::seed_stream::kFaults, lab);
-          // A window seals at most window_iterations iterations (plus the
+        if (run.resumed[lab]) continue;
+        if (!live[lab]) {
+          // A window seals at most kWindowIterations iterations (plus the
           // budget-crossing one), so the working store never needs the
           // full block budget for short windows.
+          const std::size_t count = fleet.labs()[lab].count;
           const std::size_t reserve =
               std::min(options.block_samples,
-                       (std::max<std::size_t>(1, options.window_iterations) +
-                        1) *
-                           info.count) +
-              info.count;
-          runs[lab] = std::make_unique<LabRun>(
-              fleet, config.campus, profile, lab, machine_count, reserve,
-              collector, plan, std::move(writer), options.block_samples,
-              collect_ring, *shard_pools[s]);
-          runs[lab]->coordinator().Begin(0);
+                       (kWindowIterations + 1) * count) +
+              count;
+          // Sealed blocks stage through the shard's pool onto the ring;
+          // when spilling, the sealer has already encoded them on this
+          // shard worker, so compression never touches the merge thread.
+          auto stage = [&collect_ring, &pool = *shard_pools[s],
+                        lab](const trace::TraceStore& store) {
+            obs::prof::PhaseScope prof_scope(obs::prof::Phase::kStage);
+            std::unique_ptr<trace::TraceBlock> block = AcquireBlock(pool);
+            block->AssignFrom(store);
+            // false only when cancelled (error path)
+            collect_ring.Push({lab, false, std::move(block)});
+          };
+          live[lab] = std::make_unique<detail::SealedLab>(run, lab, reserve,
+                                                          stage);
+          if (!live[lab]->sealer.error().empty()) {
+            fail(live[lab]->sealer.error());
+            continue;
+          }
+          live[lab]->collector.Begin();
         }
-        LabRun& run = *runs[lab];
-        run.coordinator().StepUntil(until);
-        run.sink().SealPending();
-        if (!run.sink().error().empty()) {
-          record_error(run.sink().error());
-          lab_failed[lab] = 1;
-          any_failed.store(true);
-        }
+        detail::SealedLab& lab_run = *live[lab];
+        lab_run.collector.StepUntil(until);
+        lab_run.sealer.SealPending();
+        if (!lab_run.sealer.error().empty()) fail(lab_run.sealer.error());
       }
       shard_busy_s[s] += SecondsSince(t0);
     };
 
-    if (live_labs > 0) {
-      for (util::SimTime window = 0; window < horizon;
-           window += window_span) {
-        if (any_failed.load()) break;
-        const util::SimTime until =
-            std::min<util::SimTime>(horizon, window + window_span);
-        util::ParallelFor(
-            shards.size(), [&](std::size_t s) { run_window(s, until); },
-            shards.size());
-      }
+    // A failure ends the lockstep after the current window; failed labs
+    // are never stepped again.
+    for (util::SimTime window = 0; any_live && window < horizon;
+         window += window_span) {
+      if (any_failed.load()) break;
+      const util::SimTime until =
+          std::min<util::SimTime>(horizon, window + window_span);
+      util::ParallelFor(
+          shards.size(), [&](std::size_t s) { run_window(s, until); },
+          shards.size());
     }
 
     // Per-lab finalisation: run stats, trailing seal, checkpoint sidecar,
     // end-of-stream marker.
-    if (live_labs > 0 && !any_failed.load()) {
+    if (any_live && !any_failed.load()) {
       auto finish_shard = [&](std::size_t s) {
         const auto t0 = Clock::now();
         obs::prof::ShardScope prof_shard(static_cast<std::uint32_t>(s));
         obs::prof::PhaseScope prof_collect(obs::prof::Phase::kCollect);
         for (std::size_t lab = shards[s].lab_begin; lab < shards[s].lab_end;
              ++lab) {
-          if (resumed[lab] || lab_failed[lab] || !runs[lab]) continue;
-          LabRun& run = *runs[lab];
-          const ddc::RunStats stats = run.coordinator().Finish();
-          run.driver().FinishAt(horizon);
-          run.sink().SealPending();
-          if (!run.sink().error().empty()) {
-            record_error(run.sink().error());
-            lab_failed[lab] = 1;
+          if (run.resumed[lab] || !live[lab]) continue;
+          detail::SealedLab& lab_run = *live[lab];
+          if (!run.Commit(lab, lab_run.sealer, lab_run.collector.Finish())) {
             any_failed.store(true);
             continue;
           }
-
-          detail::LabCheckpoint& cp = checkpoints[lab];
-          cp.stats.attempts = stats.attempts;
-          cp.stats.successes = stats.successes;
-          cp.stats.timeouts = stats.timeouts;
-          cp.stats.errors = stats.errors;
-          cp.stats.missing = stats.missing;
-          cp.stats.corrupt = stats.corrupt;
-          cp.stats.recovered_after_retry = stats.recovered_after_retry;
-          cp.stats.retry_attempts = stats.retry_attempts;
-          cp.stats.retried_collections = stats.retried_collections;
-          cp.stats.faults_injected = stats.faults_injected;
-          cp.truth = run.driver().ground_truth();
-          cp.parse_failures = run.sink().inner().parse_failures();
-          cp.crosscheck_mismatches =
-              run.sink().inner().crosscheck_mismatches();
-          cp.blocks = run.sink().blocks_sealed();
-          cp.codec = options.spill_codec;
-
-          if (spill) {
-            if (auto finished = run.writer()->Finish(); !finished.ok()) {
-              record_error(finished.error());
-              lab_failed[lab] = 1;
-              any_failed.store(true);
-              continue;
-            }
-            // Encoding itself ran inside PipelineSink::Seal on this shard
-            // worker — compression never touches the merge thread.
-            {
-              const std::scoped_lock lock(spill_mutex);
-              detail::AccumulateSpillEncode(result.spill,
-                                            run.writer()->codec_stats(),
-                                            run.writer()->bytes_written());
-            }
-            if (!detail::WriteSidecar(
-                    detail::SidecarPath(options.spill_dir, lab), fingerprint,
-                    lab, cp)) {
-              util::log::Warn("checkpoint sidecar write failed for lab " +
-                              std::to_string(lab));
-            }
-          }
-          run.sink().PublishFinal();
+          collect_ring.Push({lab, true, nullptr});
         }
         shard_busy_s[s] += SecondsSince(t0);
       };
@@ -670,36 +375,15 @@ StreamingExperimentResult PipelinedExperiment::Run(
   fold_thread.join();
   const double pipeline_wall_s = SecondsSince(pipe_t0);
 
-  {
-    const std::scoped_lock lock(error_mutex);
-    if (!result.errors.empty()) return result;
-  }
+  if (!result.errors.empty()) return std::move(result);
   if (!merge_clean || !fold_finished) {
     result.errors.push_back("pipelined run aborted before completion");
-    return result;
+    return std::move(result);
   }
 
   // ---- Result assembly (serial tail). ----
-  for (const detail::LabCheckpoint& cp : checkpoints) {
-    detail::AccumulateCheckpoint(result, cp);
-  }
-  if (result.crosscheck_mismatches != 0) {
-    util::log::Warn(std::to_string(result.crosscheck_mismatches) +
-                    " structured/text cross-check mismatches — the fast-path "
-                    "codec diverged from the wire format");
-  }
-
-  result.summary = std::move(summary_store);
-  result.samples = merged_samples;
-  result.merged_blocks = merged_blocks;
-  result.stream_hash = stream_hash;
-  detail::ComputeIterationAggregates(result);
-  result.analysis = std::move(analysis_result);
-  if (detector) {
-    result.anomalies = detector->anomalies();
-    result.anomaly_observations = detector->observations();
-  }
-  detail::PublishSpillGauges(result.spill);
+  run.Finish(std::move(summary_store), std::move(analysis_result),
+             merged_samples, merged_blocks, stream_hash);
 
   // ---- Pipeline health: result struct + registry gauges. ----
   const util::StagingRingStats ring_stats = collect_ring.stats();
@@ -795,7 +479,7 @@ StreamingExperimentResult PipelinedExperiment::Run(
       std::to_string(result.run_stats.iterations) + " iterations (" +
       std::to_string(pipe.staged_blocks) + " staged blocks, serial fraction " +
       std::to_string(pipe.serial_fraction) + ")");
-  return result;
+  return std::move(result);
 }
 
 }  // namespace labmon::core

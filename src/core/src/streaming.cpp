@@ -1,102 +1,16 @@
 #include "labmon/core/streaming.hpp"
 
-#include <algorithm>
-#include <filesystem>
-#include <memory>
-#include <mutex>
 #include <utility>
 
-#include "labmon/core/snapshot.hpp"
-#include "labmon/ddc/w32_probe.hpp"
-#include "labmon/faultsim/fault_injector.hpp"
 #include "labmon/obs/prof.hpp"
 #include "labmon/obs/registry.hpp"
 #include "labmon/obs/span.hpp"
-#include "labmon/trace/segment.hpp"
-#include "labmon/trace/sink.hpp"
 #include "labmon/trace/stream_merge.hpp"
 #include "labmon/util/log.hpp"
 #include "labmon/util/parallel.hpp"
-#include "labmon/winsim/paper_specs.hpp"
-#include "labmon/workload/profile.hpp"
-#include "streaming_detail.hpp"
+#include "lab_run.hpp"
 
 namespace labmon::core {
-
-namespace {
-
-using detail::LabCheckpoint;
-using detail::LoadSidecar;
-using detail::SegmentPath;
-using detail::SidecarPath;
-using detail::WriteSidecar;
-
-/// Wraps the post-collect sink: samples append to a small working store,
-/// and whenever an iteration completes with the store at or past the
-/// block budget the store is sealed — spilled as one segment block or
-/// moved into the in-memory block list — and cleared. Blocks are
-/// therefore always iteration-aligned and self-contained (block-local
-/// user table + the iteration rows they cover).
-class SpillingSink final : public ddc::SampleSink {
- public:
-  SpillingSink(trace::TraceStore& store, std::size_t block_samples,
-               trace::SegmentWriter* writer,
-               std::vector<trace::TraceBlock>* blocks)
-      : inner_(store),
-        store_(&store),
-        block_samples_(std::max<std::size_t>(1, block_samples)),
-        writer_(writer),
-        blocks_(blocks) {}
-
-  ddc::SampleVerdict OnSample(const ddc::CollectedSample& sample) override {
-    return inner_.OnSample(sample);
-  }
-
-  void OnIterationEnd(std::uint64_t iteration, util::SimTime start_time,
-                      util::SimTime end_time) override {
-    inner_.OnIterationEnd(iteration, start_time, end_time);
-    if (store_->size() >= block_samples_) Seal();
-  }
-
-  /// Seals the trailing partial block; call once after the run.
-  void Flush() {
-    if (store_->size() > 0 || !store_->iterations().empty()) Seal();
-  }
-
-  [[nodiscard]] std::uint64_t blocks_sealed() const noexcept {
-    return blocks_sealed_;
-  }
-  [[nodiscard]] const std::string& error() const noexcept { return error_; }
-  [[nodiscard]] const trace::TraceStoreSink& inner() const noexcept {
-    return inner_;
-  }
-
- private:
-  void Seal() {
-    if (writer_ != nullptr) {
-      if (auto appended = writer_->Append(*store_);
-          !appended.ok() && error_.empty()) {
-        error_ = appended.error();
-      }
-    } else {
-      trace::TraceBlock block;
-      block.AssignFrom(*store_);
-      blocks_->push_back(std::move(block));
-    }
-    ++blocks_sealed_;
-    store_->ClearSamples();
-  }
-
-  trace::TraceStoreSink inner_;
-  trace::TraceStore* store_;
-  std::size_t block_samples_;
-  trace::SegmentWriter* writer_;
-  std::vector<trace::TraceBlock>* blocks_;
-  std::uint64_t blocks_sealed_ = 0;
-  std::string error_;
-};
-
-}  // namespace
 
 StreamingExperimentResult StreamingExperiment::Run(
     const ExperimentConfig& config, const StreamingOptions& options) {
@@ -107,81 +21,21 @@ StreamingExperimentResult StreamingExperiment::Run(
   obs::Span run_span("experiment.stream");
   run_span.SetSimRange(0, config.campus.EndTime());
 
-  util::Rng rng(config.campus.seed);
-  winsim::Fleet fleet = [&] {
-    obs::Span build_span("experiment.build_fleet");
-    obs::prof::PhaseScope prof_scope(obs::prof::Phase::kBuildFleet);
-    return winsim::MakePaperFleet(rng, config.prior_life,
-                                  config.campus.scale_labs);
-  }();
-  const workload::CampusProfile profile = [&] {
-    obs::prof::PhaseScope prof_scope(obs::prof::Phase::kBuildFleet);
-    return workload::CampusProfile::Build(fleet, config.campus);
-  }();
-
-  const std::size_t lab_count = fleet.lab_count();
-  const std::size_t machine_count = fleet.size();
-  const bool spill = !options.spill_dir.empty();
-  const std::uint64_t fingerprint = FingerprintConfig(config);
-
-  StreamingExperimentResult result;
-  result.days = config.campus.days;
-  if (spill) result.spill.codec = trace::SpillCodecName(options.spill_codec);
-  std::mutex error_mutex;
-  auto record_error = [&](std::string message) {
-    const std::scoped_lock lock(error_mutex);
-    result.errors.push_back(std::move(message));
-  };
-  std::mutex spill_mutex;
-
-  if (spill) {
-    std::error_code ec;
-    std::filesystem::create_directories(options.spill_dir, ec);
-    if (ec) {
-      result.errors.push_back("cannot create spill dir: " +
-                              options.spill_dir);
-      return result;
-    }
-  }
-
-  std::vector<LabCheckpoint> checkpoints(lab_count);
-  std::vector<char> resumed(lab_count, 0);
+  detail::SealingRun run(config, options);
+  if (!run.Prepare()) return std::move(run.result);
+  const std::size_t lab_count = run.campaign.fleet.lab_count();
+  const std::size_t machine_count = run.campaign.fleet.size();
   // In-memory mode keeps each lab's sealed blocks until the merge.
   std::vector<std::vector<trace::TraceBlock>> lab_blocks(lab_count);
-
-  if (options.resume && spill) {
-    for (std::size_t lab = 0; lab < lab_count; ++lab) {
-      LabCheckpoint cp;
-      if (!LoadSidecar(SidecarPath(options.spill_dir, lab), fingerprint, lab,
-                       cp)) {
-        continue;
-      }
-      // The sidecar is only written after a complete segment, but guard
-      // against the segment being deleted or clobbered since.
-      auto reader = trace::SegmentReader::Open(
-          SegmentPath(options.spill_dir, lab));
-      if (!reader.ok() || reader.value().machine_count() != machine_count) {
-        continue;
-      }
-      checkpoints[lab] = cp;
-      resumed[lab] = 1;
-      ++result.labs_resumed;
-    }
-  }
-
-  const std::size_t workers = std::min(
-      lab_count, std::max<std::size_t>(
-                     1, config.shards > 0
-                            ? static_cast<std::size_t>(config.shards)
-                            : util::DefaultWorkerCount()));
+  const std::size_t workers = detail::ClampWorkers(config.shards, lab_count);
 
   util::log::Info("streaming " + std::to_string(config.campus.days) +
                   "-day campaign over " + std::to_string(machine_count) +
                   " machines (" + std::to_string(workers) + " workers, " +
-                  (spill ? "spill to " + options.spill_dir
-                         : std::string("in-memory blocks")) +
-                  (result.labs_resumed
-                       ? ", " + std::to_string(result.labs_resumed) +
+                  (run.spill ? "spill to " + options.spill_dir
+                             : std::string("in-memory blocks")) +
+                  (run.result.labs_resumed
+                       ? ", " + std::to_string(run.result.labs_resumed) +
                              " labs resumed"
                        : "") +
                   ")");
@@ -190,132 +44,33 @@ StreamingExperimentResult StreamingExperiment::Run(
     obs::Span collect_span("experiment.stream_collect");
     collect_span.SetSimRange(0, config.campus.EndTime());
     auto run_lab = [&](std::size_t lab) {
-      if (resumed[lab]) return;
+      if (run.resumed[lab]) return;
       obs::prof::ShardScope prof_shard(static_cast<std::uint32_t>(lab));
       obs::prof::PhaseScope prof_collect(obs::prof::Phase::kCollect);
-      const winsim::LabInfo& info = fleet.labs()[lab];
-      workload::WorkloadDriver driver(fleet, config.campus, profile, lab,
-                                      lab + 1);
-      trace::TraceStore store;
-      store.set_machine_count(machine_count);
+      detail::BlockSealer::Publish keep;
+      if (!run.spill) {
+        keep = [&blocks = lab_blocks[lab]](const trace::TraceStore& store) {
+          blocks.emplace_back().AssignFrom(store);
+        };
+      }
       // An iteration appends at most one sample per lab machine, and the
-      // store is cleared at the first iteration end past the budget.
-      store.Reserve(options.block_samples + info.count);
-
-      std::unique_ptr<trace::SegmentWriter> writer;
-      if (spill) {
-        auto opened = trace::SegmentWriter::Open(
-            SegmentPath(options.spill_dir, lab), machine_count,
-            options.spill_codec);
-        if (!opened.ok()) {
-          record_error(opened.error());
-          return;
-        }
-        writer = std::make_unique<trace::SegmentWriter>(
-            std::move(opened).value());
-      }
-      SpillingSink sink(store, options.block_samples, writer.get(),
-                       &lab_blocks[lab]);
-
-      ddc::W32Probe probe;
-      ddc::CoordinatorConfig collector = config.collector;
-      collector.structured_fast_path = config.structured_fast_path;
-      collector.first_machine = info.first;
-      collector.machine_count = info.count;
-      collector.aligned_schedule = true;
-      collector.seed = util::DeriveSeed(config.collector.seed,
-                                        util::seed_stream::kCollector, lab);
-      faultsim::FaultPlan plan = config.fault_plan;
-      plan.seed = util::DeriveSeed(config.fault_plan.seed,
-                                   util::seed_stream::kFaults, lab);
-      faultsim::FaultInjector injector(plan, collector.metrics);
-      if (injector.active()) {
-        injector.BindFleet(fleet);
-        collector.faults = &injector;
-      }
-      auto advance = [&driver](util::SimTime t) {
-        obs::prof::SampledPhaseScope prof_scope(obs::prof::Phase::kSimulate);
-        driver.AdvanceTo(t);
-      };
-      ddc::Coordinator coordinator(fleet, probe, collector, sink, advance);
-      const ddc::RunStats stats = coordinator.Run(0, config.campus.EndTime());
-      driver.FinishAt(config.campus.EndTime());
-      sink.Flush();
-      if (!sink.error().empty()) {
-        record_error(sink.error());
+      // store is sealed at the first iteration end past the budget.
+      const std::size_t reserve =
+          options.block_samples + run.campaign.fleet.labs()[lab].count;
+      detail::SealedLab live(run, lab, reserve, std::move(keep));
+      if (!live.sealer.error().empty()) {
+        run.Fail(live.sealer.error());
         return;
       }
-
-      LabCheckpoint& cp = checkpoints[lab];
-      cp.stats.attempts = stats.attempts;
-      cp.stats.successes = stats.successes;
-      cp.stats.timeouts = stats.timeouts;
-      cp.stats.errors = stats.errors;
-      cp.stats.missing = stats.missing;
-      cp.stats.corrupt = stats.corrupt;
-      cp.stats.recovered_after_retry = stats.recovered_after_retry;
-      cp.stats.retry_attempts = stats.retry_attempts;
-      cp.stats.retried_collections = stats.retried_collections;
-      cp.stats.faults_injected = stats.faults_injected;
-      cp.truth = driver.ground_truth();
-      cp.parse_failures = sink.inner().parse_failures();
-      cp.crosscheck_mismatches = sink.inner().crosscheck_mismatches();
-      cp.blocks = sink.blocks_sealed();
-      cp.codec = options.spill_codec;
-
-      if (spill) {
-        if (auto finished = writer->Finish(); !finished.ok()) {
-          record_error(finished.error());
-          return;
-        }
-        {
-          const std::scoped_lock lock(spill_mutex);
-          detail::AccumulateSpillEncode(result.spill, writer->codec_stats(),
-                                        writer->bytes_written());
-        }
-        if (!WriteSidecar(SidecarPath(options.spill_dir, lab), fingerprint,
-                          lab, cp)) {
-          // A failed sidecar only costs a re-simulation on resume.
-          util::log::Warn("checkpoint sidecar write failed for lab " +
-                          std::to_string(lab));
-        }
-      }
+      run.Commit(lab, live.sealer, live.collector.Run());
     };
     util::ParallelFor(lab_count, run_lab, workers);
   }
-  if (!result.errors.empty()) return result;
-
-  for (const LabCheckpoint& cp : checkpoints) {
-    detail::AccumulateCheckpoint(result, cp);
-  }
-  if (result.crosscheck_mismatches != 0) {
-    util::log::Warn(std::to_string(result.crosscheck_mismatches) +
-                    " structured/text cross-check mismatches — the fast-path "
-                    "codec diverged from the wire format");
-  }
-
-  std::vector<analysis::LabKey> keys = detail::FillFleetSummaries(result, fleet);
+  if (!run.result.errors.empty()) return std::move(run.result);
 
   // Merge + fold: re-stream every lab, merge iteration-major and fold the
   // merged blocks into the incremental analysis as they seal. The stream
   // hash fingerprints the merged sample sequence for determinism checks.
-  analysis::StreamingAnalysisConfig fold_config;
-  fold_config.machine_count = machine_count;
-  fold_config.perf_index = result.perf_index;
-  fold_config.labs = std::move(keys);
-  fold_config.experiment_days = config.campus.days;
-  analysis::StreamingAnalysis fold(std::move(fold_config));
-
-  std::unique_ptr<analysis::AnomalyDetector> detector;
-  if (options.anomaly_threshold > 0.0) {
-    analysis::AnomalyOptions anomaly_options;
-    anomaly_options.threshold = options.anomaly_threshold;
-    anomaly_options.min_samples = options.anomaly_min_samples;
-    detector = std::make_unique<analysis::AnomalyDetector>(
-        machine_count, anomaly_options, options.anomaly_writer);
-    fold.AttachAnomalyDetector(detector.get());
-  }
-
   trace::StreamMergeResult merged;
   std::uint64_t stream_hash = trace::kSampleStreamHashSeed;
   {
@@ -325,14 +80,14 @@ StreamingExperimentResult StreamingExperiment::Run(
     std::vector<trace::BlockVectorReader> block_readers;
     std::vector<trace::TraceReader*> parts;
     parts.reserve(lab_count);
-    if (spill) {
+    if (run.spill) {
       segment_readers.reserve(lab_count);
       for (std::size_t lab = 0; lab < lab_count; ++lab) {
-        auto opened =
-            trace::SegmentReader::Open(SegmentPath(options.spill_dir, lab));
+        auto opened = trace::SegmentReader::Open(
+            detail::SegmentPath(options.spill_dir, lab));
         if (!opened.ok()) {
-          record_error(opened.error());
-          return result;
+          run.Fail(opened.error());
+          return std::move(run.result);
         }
         segment_readers.push_back(std::move(opened).value());
       }
@@ -349,39 +104,26 @@ StreamingExperimentResult StreamingExperiment::Run(
         parts, machine_count, options.block_samples,
         [&](const trace::TraceBlock& block) {
           stream_hash = trace::HashBlockSamples(stream_hash, block);
-          fold.Accept(block);
+          run.fold.Accept(block);
         });
     for (auto& reader : segment_readers) {
-      if (reader.failed()) record_error(reader.error());
+      if (reader.failed()) run.Fail(reader.error());
     }
-    if (!result.errors.empty()) return result;
-    for (const auto& reader : segment_readers) {
-      detail::AccumulateSpillDecode(result.spill, reader.codec_stats());
-    }
-  }
-  detail::PublishSpillGauges(result.spill);
-
-  result.summary = trace::TraceStore(machine_count);
-  for (const trace::IterationInfo& info : merged.iterations) {
-    result.summary.AppendIteration(info);
-  }
-  result.samples = merged.samples;
-  result.merged_blocks = merged.blocks;
-  result.stream_hash = stream_hash;
-
-  detail::ComputeIterationAggregates(result);
-
-  result.analysis = fold.Finish(result.summary);
-  if (detector) {
-    result.anomalies = detector->anomalies();
-    result.anomaly_observations = detector->observations();
+    if (!run.result.errors.empty()) return std::move(run.result);
+    for (const auto& reader : segment_readers) run.AddDecodeStats(reader);
   }
 
-  util::log::Info("streamed " + std::to_string(result.samples) +
-                  " samples in " + std::to_string(result.merged_blocks) +
+  trace::TraceStore summary =
+      detail::SummaryStore(machine_count, merged.iterations);
+  analysis::StreamingAnalysisResult analysis = run.fold.Finish(summary);
+  run.Finish(std::move(summary), std::move(analysis), merged.samples,
+             merged.blocks, stream_hash);
+  util::log::Info("streamed " + std::to_string(run.result.samples) +
+                  " samples in " + std::to_string(run.result.merged_blocks) +
                   " merged blocks over " +
-                  std::to_string(result.run_stats.iterations) + " iterations");
-  return result;
+                  std::to_string(run.result.run_stats.iterations) +
+                  " iterations");
+  return std::move(run.result);
 }
 
 }  // namespace labmon::core

@@ -1,7 +1,7 @@
 // Pipelined-engine determinism suite — the overlapped engine's contract:
 // windowed lockstep collection, the staging-ring merge and the threaded
 // analysis fold must reproduce the materialised engine bit-for-bit for
-// any shard count, window length, block size and ring capacity (including
+// any shard count, block size and ring capacity (including
 // the degenerate capacity-1 ring, which forces constant backpressure),
 // checkpoints must interoperate with StreamingExperiment spill dirs in
 // both directions, and a failing lab must abort the pipeline promptly
@@ -13,160 +13,17 @@
 
 #include <gtest/gtest.h>
 
-#include "labmon/analysis/stream_fold.hpp"
+#include "engine_golden.hpp"
 #include "labmon/core/experiment.hpp"
 #include "labmon/core/streaming.hpp"
-#include "labmon/trace/block.hpp"
 
 namespace labmon {
 namespace {
 
-constexpr int kDays = 2;
-constexpr std::uint64_t kSeed = 20050201;
-
-core::ExperimentConfig GoldenConfig(int shards) {
-  core::ExperimentConfig config;
-  config.campus.days = kDays;
-  config.campus.seed = kSeed;
-  config.shards = shards;
-  return config;
-}
-
-const core::ExperimentResult& Materialised() {
-  static const core::ExperimentResult result =
-      core::Experiment::Run(GoldenConfig(1));
-  return result;
-}
-
-std::uint64_t MaterialisedHash() {
-  trace::StoreReader reader(Materialised().trace);
-  return trace::HashSampleStream(reader);
-}
-
-/// The fold over the materialised trace — pinned bit-identical to the
-/// chunked AnalysisPipeline by test_stream_fold.
-const analysis::StreamingAnalysisResult& MaterialisedAnalysis() {
-  static const analysis::StreamingAnalysisResult result = [] {
-    const core::ExperimentResult& golden = Materialised();
-    analysis::StreamingAnalysisConfig config;
-    config.machine_count = golden.trace.machine_count();
-    config.perf_index = golden.perf_index;
-    std::size_t first = 0;
-    for (const auto& lab : golden.labs) {
-      config.labs.push_back(
-          analysis::LabKey{lab.name, first, lab.machine_count});
-      first += lab.machine_count;
-    }
-    config.experiment_days = golden.days;
-    analysis::StreamingAnalysis fold(std::move(config));
-    trace::StoreReader reader(golden.trace);
-    while (const trace::TraceBlock* block = reader.Next()) {
-      fold.Accept(*block);
-    }
-    trace::TraceStore summary(golden.trace.machine_count());
-    for (const auto& info : golden.trace.iterations()) {
-      summary.AppendIteration(info);
-    }
-    return fold.Finish(summary);
-  }();
-  return result;
-}
-
-void ExpectAnalysisIdentical(const analysis::StreamingAnalysisResult& a,
-                             const analysis::StreamingAnalysisResult& b) {
-  const auto expect_column = [](const analysis::Table2Column& x,
-                                const analysis::Table2Column& y) {
-    EXPECT_EQ(x.samples, y.samples);
-    EXPECT_EQ(x.uptime_pct, y.uptime_pct);
-    EXPECT_EQ(x.cpu_idle_pct, y.cpu_idle_pct);
-    EXPECT_EQ(x.ram_load_pct, y.ram_load_pct);
-    EXPECT_EQ(x.swap_load_pct, y.swap_load_pct);
-    EXPECT_EQ(x.disk_used_gb, y.disk_used_gb);
-    EXPECT_EQ(x.sent_bps, y.sent_bps);
-    EXPECT_EQ(x.recv_bps, y.recv_bps);
-  };
-  expect_column(a.table2.no_login, b.table2.no_login);
-  expect_column(a.table2.with_login, b.table2.with_login);
-  expect_column(a.table2.both, b.table2.both);
-  EXPECT_EQ(a.table2.raw_login_samples, b.table2.raw_login_samples);
-  EXPECT_EQ(a.table2.reclassified_samples, b.table2.reclassified_samples);
-  EXPECT_EQ(a.availability.series.mean_powered_on,
-            b.availability.series.mean_powered_on);
-  EXPECT_EQ(a.availability.series.mean_user_free,
-            b.availability.series.mean_user_free);
-  ASSERT_EQ(a.availability.ranking.entries.size(),
-            b.availability.ranking.entries.size());
-  for (std::size_t i = 0; i < a.availability.ranking.entries.size(); ++i) {
-    EXPECT_EQ(a.availability.ranking.entries[i].machine,
-              b.availability.ranking.entries[i].machine);
-    EXPECT_EQ(a.availability.ranking.entries[i].uptime_ratio,
-              b.availability.ranking.entries[i].uptime_ratio);
-  }
-  ASSERT_EQ(a.session_hours.bins.size(), b.session_hours.bins.size());
-  for (std::size_t i = 0; i < a.session_hours.bins.size(); ++i) {
-    EXPECT_EQ(a.session_hours.bins[i].samples,
-              b.session_hours.bins[i].samples);
-    EXPECT_EQ(a.session_hours.bins[i].mean_cpu_idle_pct,
-              b.session_hours.bins[i].mean_cpu_idle_pct);
-  }
-  ASSERT_EQ(a.weekly.cpu_idle_pct.bin_count(),
-            b.weekly.cpu_idle_pct.bin_count());
-  for (std::size_t i = 0; i < a.weekly.cpu_idle_pct.bin_count(); ++i) {
-    EXPECT_EQ(a.weekly.cpu_idle_pct.Mean(i), b.weekly.cpu_idle_pct.Mean(i));
-    EXPECT_EQ(a.weekly.ram_load_pct.Mean(i), b.weekly.ram_load_pct.Mean(i));
-  }
-  EXPECT_EQ(a.equivalence.mean_occupied, b.equivalence.mean_occupied);
-  EXPECT_EQ(a.equivalence.mean_free, b.equivalence.mean_free);
-  EXPECT_EQ(a.equivalence.mean_total, b.equivalence.mean_total);
-  EXPECT_EQ(a.stability.sessions.session_count,
-            b.stability.sessions.session_count);
-  EXPECT_EQ(a.stability.sessions.mean_hours, b.stability.sessions.mean_hours);
-  EXPECT_EQ(a.stability.smart.experiment_cycles,
-            b.stability.smart.experiment_cycles);
-  EXPECT_EQ(a.stability.smart.cycles_per_machine_mean,
-            b.stability.smart.cycles_per_machine_mean);
-  ASSERT_EQ(a.per_lab.usage.size(), b.per_lab.usage.size());
-  for (std::size_t i = 0; i < a.per_lab.usage.size(); ++i) {
-    EXPECT_EQ(a.per_lab.usage[i].occupied_pct,
-              b.per_lab.usage[i].occupied_pct);
-    EXPECT_EQ(a.per_lab.usage[i].cpu_idle_pct,
-              b.per_lab.usage[i].cpu_idle_pct);
-    EXPECT_EQ(a.per_lab.usage[i].uptime_pct, b.per_lab.usage[i].uptime_pct);
-  }
-  EXPECT_EQ(a.capacity.mean_ram_gb, b.capacity.mean_ram_gb);
-  EXPECT_EQ(a.capacity.p10_ram_gb, b.capacity.p10_ram_gb);
-  EXPECT_EQ(a.capacity.mean_disk_tb, b.capacity.mean_disk_tb);
-  EXPECT_EQ(a.capacity.p10_disk_tb, b.capacity.p10_disk_tb);
-  ASSERT_EQ(a.capacity.ram_gb.size(), b.capacity.ram_gb.size());
-  for (std::size_t i = 0; i < a.capacity.ram_gb.size(); ++i) {
-    EXPECT_EQ(a.capacity.ram_gb[i].value, b.capacity.ram_gb[i].value);
-  }
-}
-
-void ExpectRunIdentical(const core::StreamingExperimentResult& piped) {
-  const core::ExperimentResult& golden = Materialised();
-  ASSERT_TRUE(piped.errors.empty())
-      << "first error: " << piped.errors.front();
-  EXPECT_EQ(piped.stream_hash, MaterialisedHash());
-  EXPECT_EQ(piped.samples, golden.trace.size());
-  EXPECT_EQ(piped.run_stats.iterations, golden.run_stats.iterations);
-  EXPECT_EQ(piped.run_stats.attempts, golden.run_stats.attempts);
-  EXPECT_EQ(piped.run_stats.successes, golden.run_stats.successes);
-  EXPECT_EQ(piped.run_stats.timeouts, golden.run_stats.timeouts);
-  EXPECT_EQ(piped.run_stats.missing, golden.run_stats.missing);
-  EXPECT_EQ(piped.run_stats.corrupt, golden.run_stats.corrupt);
-  EXPECT_EQ(piped.run_stats.mean_iteration_s,
-            golden.run_stats.mean_iteration_s);
-  EXPECT_EQ(piped.ground_truth.boots, golden.ground_truth.boots);
-  EXPECT_EQ(piped.ground_truth.TotalLogins(),
-            golden.ground_truth.TotalLogins());
-  EXPECT_EQ(piped.parse_failures, golden.parse_failures);
-  EXPECT_EQ(piped.crosscheck_mismatches, golden.crosscheck_mismatches);
-  EXPECT_EQ(piped.summary.iterations().size(),
-            golden.trace.iterations().size());
-  EXPECT_EQ(piped.perf_index, golden.perf_index);
-  ExpectAnalysisIdentical(piped.analysis, MaterialisedAnalysis());
-}
+using core::testing::ExpectAnalysisIdentical;
+using core::testing::ExpectRunIdentical;
+using core::testing::ExpectTotalsIdentical;
+using core::testing::GoldenConfig;
 
 TEST(PipelinedDeterminismTest, DefaultsMatchMaterialisedEngine) {
   core::StreamingOptions options;
@@ -181,27 +38,24 @@ TEST(PipelinedDeterminismTest, ShardWindowBlockAndRingAreInvisible) {
     int shards;
     std::size_t block_samples;
     std::size_t ring_capacity;
-    std::size_t window_iterations;
   };
-  // Representative corners of the {shards} x {block} x {ring} x {window}
-  // matrix, including tiny blocks (merged block per sample) and the
-  // capacity-1 ring under many shards (constant backpressure, labs
-  // completing out of order).
+  // Representative corners of the {shards} x {block} x {ring} matrix,
+  // including tiny blocks (merged block per sample) and the capacity-1
+  // ring under many shards (constant backpressure, labs completing out of
+  // order).
   const Case cases[] = {
-      {2, 97, 4, 3},
-      {8, 1, 1, 5},
-      {4, 65536, 64, 16},
-      {8, 4096, 1, 1},
+      {2, 97, 4},
+      {8, 1, 1},
+      {4, 65536, 64},
+      {8, 4096, 1},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE("shards=" + std::to_string(c.shards) +
                  " block=" + std::to_string(c.block_samples) +
-                 " ring=" + std::to_string(c.ring_capacity) +
-                 " window=" + std::to_string(c.window_iterations));
+                 " ring=" + std::to_string(c.ring_capacity));
     core::StreamingOptions options;
     options.block_samples = c.block_samples;
     options.ring_capacity = c.ring_capacity;
-    options.window_iterations = c.window_iterations;
     const auto piped =
         core::PipelinedExperiment::Run(GoldenConfig(c.shards), options);
     ExpectRunIdentical(piped);
@@ -337,7 +191,6 @@ TEST(PipelinedDeterminismTest, FaultedRunMatchesStreamingEngine) {
   core::StreamingOptions options;
   options.block_samples = 2048;
   options.ring_capacity = 4;
-  options.window_iterations = 7;
   const auto streamed = core::StreamingExperiment::Run(config, options);
   ASSERT_TRUE(streamed.errors.empty());
   const auto piped = core::PipelinedExperiment::Run(config, options);
@@ -352,6 +205,18 @@ TEST(PipelinedDeterminismTest, FaultedRunMatchesStreamingEngine) {
   EXPECT_EQ(piped.run_stats.corrupt, streamed.run_stats.corrupt);
   EXPECT_EQ(piped.parse_failures, streamed.parse_failures);
   ExpectAnalysisIdentical(piped.analysis, streamed.analysis);
+
+  // All three engines assemble the campaign totals from the same per-lab
+  // tally, so they must agree on every field, at any shard count.
+  ExpectTotalsIdentical(piped, streamed);
+  for (const int shards : {1, 3}) {
+    SCOPED_TRACE("materialised shards=" + std::to_string(shards));
+    core::ExperimentConfig materialised_config = config;
+    materialised_config.shards = shards;
+    const auto materialised = core::Experiment::Run(materialised_config);
+    EXPECT_EQ(materialised.trace.size(), streamed.samples);
+    ExpectTotalsIdentical(materialised, streamed);
+  }
 }
 
 TEST(PipelinedDeterminismTest, FailingLabAbortsWithoutDeadlock) {
@@ -367,7 +232,6 @@ TEST(PipelinedDeterminismTest, FailingLabAbortsWithoutDeadlock) {
   options.spill_dir = dir;
   options.block_samples = 256;
   options.ring_capacity = 1;
-  options.window_iterations = 2;
   const auto piped = core::PipelinedExperiment::Run(GoldenConfig(4), options);
   ASSERT_FALSE(piped.errors.empty());
   EXPECT_EQ(piped.samples, 0u);

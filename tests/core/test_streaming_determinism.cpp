@@ -7,166 +7,24 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "labmon/analysis/stream_fold.hpp"
+#include "engine_golden.hpp"
 #include "labmon/core/experiment.hpp"
+#include "labmon/core/snapshot.hpp"
 #include "labmon/core/streaming.hpp"
-#include "labmon/trace/block.hpp"
 
 namespace labmon {
 namespace {
 
-constexpr int kDays = 2;
-constexpr std::uint64_t kSeed = 20050201;
-
-core::ExperimentConfig GoldenConfig(int shards) {
-  core::ExperimentConfig config;
-  config.campus.days = kDays;
-  config.campus.seed = kSeed;
-  config.shards = shards;
-  return config;
-}
-
-/// The materialised engine's trace + its sample-stream hash, computed
-/// once and shared by every test below.
-const core::ExperimentResult& Materialised() {
-  static const core::ExperimentResult result =
-      core::Experiment::Run(GoldenConfig(1));
-  return result;
-}
-
-std::uint64_t MaterialisedHash() {
-  trace::StoreReader reader(Materialised().trace);
-  return trace::HashSampleStream(reader);
-}
-
-/// The fold over the materialised trace — already pinned bit-identical to
-/// the chunked AnalysisPipeline by test_stream_fold, so it serves as the
-/// analysis reference here.
-analysis::StreamingAnalysisResult MaterialisedAnalysis() {
-  const core::ExperimentResult& golden = Materialised();
-  analysis::StreamingAnalysisConfig config;
-  config.machine_count = golden.trace.machine_count();
-  config.perf_index = golden.perf_index;
-  std::size_t first = 0;
-  for (const auto& lab : golden.labs) {
-    config.labs.push_back(
-        analysis::LabKey{lab.name, first, lab.machine_count});
-    first += lab.machine_count;
-  }
-  config.experiment_days = golden.days;
-  analysis::StreamingAnalysis fold(std::move(config));
-  trace::StoreReader reader(golden.trace);
-  while (const trace::TraceBlock* block = reader.Next()) {
-    fold.Accept(*block);
-  }
-  trace::TraceStore summary(golden.trace.machine_count());
-  for (const auto& info : golden.trace.iterations()) {
-    summary.AppendIteration(info);
-  }
-  return fold.Finish(summary);
-}
-
-void ExpectAnalysisIdentical(const analysis::StreamingAnalysisResult& a,
-                             const analysis::StreamingAnalysisResult& b) {
-  // Bit-identical, not approximately equal: every comparison is EXPECT_EQ
-  // on the raw doubles.
-  const auto expect_column = [](const analysis::Table2Column& x,
-                                const analysis::Table2Column& y) {
-    EXPECT_EQ(x.samples, y.samples);
-    EXPECT_EQ(x.uptime_pct, y.uptime_pct);
-    EXPECT_EQ(x.cpu_idle_pct, y.cpu_idle_pct);
-    EXPECT_EQ(x.ram_load_pct, y.ram_load_pct);
-    EXPECT_EQ(x.swap_load_pct, y.swap_load_pct);
-    EXPECT_EQ(x.disk_used_gb, y.disk_used_gb);
-    EXPECT_EQ(x.sent_bps, y.sent_bps);
-    EXPECT_EQ(x.recv_bps, y.recv_bps);
-  };
-  expect_column(a.table2.no_login, b.table2.no_login);
-  expect_column(a.table2.with_login, b.table2.with_login);
-  expect_column(a.table2.both, b.table2.both);
-  EXPECT_EQ(a.table2.raw_login_samples, b.table2.raw_login_samples);
-  EXPECT_EQ(a.table2.reclassified_samples, b.table2.reclassified_samples);
-  EXPECT_EQ(a.availability.series.mean_powered_on,
-            b.availability.series.mean_powered_on);
-  EXPECT_EQ(a.availability.series.mean_user_free,
-            b.availability.series.mean_user_free);
-  ASSERT_EQ(a.availability.ranking.entries.size(),
-            b.availability.ranking.entries.size());
-  for (std::size_t i = 0; i < a.availability.ranking.entries.size(); ++i) {
-    EXPECT_EQ(a.availability.ranking.entries[i].machine,
-              b.availability.ranking.entries[i].machine);
-    EXPECT_EQ(a.availability.ranking.entries[i].uptime_ratio,
-              b.availability.ranking.entries[i].uptime_ratio);
-  }
-  ASSERT_EQ(a.session_hours.bins.size(), b.session_hours.bins.size());
-  for (std::size_t i = 0; i < a.session_hours.bins.size(); ++i) {
-    EXPECT_EQ(a.session_hours.bins[i].samples, b.session_hours.bins[i].samples);
-    EXPECT_EQ(a.session_hours.bins[i].mean_cpu_idle_pct,
-              b.session_hours.bins[i].mean_cpu_idle_pct);
-  }
-  ASSERT_EQ(a.weekly.cpu_idle_pct.bin_count(),
-            b.weekly.cpu_idle_pct.bin_count());
-  for (std::size_t i = 0; i < a.weekly.cpu_idle_pct.bin_count(); ++i) {
-    EXPECT_EQ(a.weekly.cpu_idle_pct.Mean(i), b.weekly.cpu_idle_pct.Mean(i));
-    EXPECT_EQ(a.weekly.ram_load_pct.Mean(i), b.weekly.ram_load_pct.Mean(i));
-  }
-  EXPECT_EQ(a.equivalence.mean_occupied, b.equivalence.mean_occupied);
-  EXPECT_EQ(a.equivalence.mean_free, b.equivalence.mean_free);
-  EXPECT_EQ(a.equivalence.mean_total, b.equivalence.mean_total);
-  EXPECT_EQ(a.stability.sessions.session_count,
-            b.stability.sessions.session_count);
-  EXPECT_EQ(a.stability.sessions.mean_hours, b.stability.sessions.mean_hours);
-  EXPECT_EQ(a.stability.smart.experiment_cycles,
-            b.stability.smart.experiment_cycles);
-  EXPECT_EQ(a.stability.smart.cycles_per_machine_mean,
-            b.stability.smart.cycles_per_machine_mean);
-  ASSERT_EQ(a.per_lab.usage.size(), b.per_lab.usage.size());
-  for (std::size_t i = 0; i < a.per_lab.usage.size(); ++i) {
-    EXPECT_EQ(a.per_lab.usage[i].occupied_pct, b.per_lab.usage[i].occupied_pct);
-    EXPECT_EQ(a.per_lab.usage[i].cpu_idle_pct,
-              b.per_lab.usage[i].cpu_idle_pct);
-    EXPECT_EQ(a.per_lab.usage[i].uptime_pct, b.per_lab.usage[i].uptime_pct);
-  }
-  EXPECT_EQ(a.capacity.mean_ram_gb, b.capacity.mean_ram_gb);
-  EXPECT_EQ(a.capacity.p10_ram_gb, b.capacity.p10_ram_gb);
-  EXPECT_EQ(a.capacity.mean_disk_tb, b.capacity.mean_disk_tb);
-  EXPECT_EQ(a.capacity.p10_disk_tb, b.capacity.p10_disk_tb);
-  ASSERT_EQ(a.capacity.ram_gb.size(), b.capacity.ram_gb.size());
-  for (std::size_t i = 0; i < a.capacity.ram_gb.size(); ++i) {
-    EXPECT_EQ(a.capacity.ram_gb[i].value, b.capacity.ram_gb[i].value);
-  }
-}
-
-void ExpectRunIdentical(const core::StreamingExperimentResult& streamed) {
-  const core::ExperimentResult& golden = Materialised();
-  ASSERT_TRUE(streamed.errors.empty())
-      << "first error: " << streamed.errors.front();
-  EXPECT_EQ(streamed.stream_hash, MaterialisedHash());
-  EXPECT_EQ(streamed.samples, golden.trace.size());
-  EXPECT_EQ(streamed.run_stats.iterations, golden.run_stats.iterations);
-  EXPECT_EQ(streamed.run_stats.attempts, golden.run_stats.attempts);
-  EXPECT_EQ(streamed.run_stats.successes, golden.run_stats.successes);
-  EXPECT_EQ(streamed.run_stats.timeouts, golden.run_stats.timeouts);
-  EXPECT_EQ(streamed.run_stats.missing, golden.run_stats.missing);
-  EXPECT_EQ(streamed.run_stats.corrupt, golden.run_stats.corrupt);
-  EXPECT_EQ(streamed.run_stats.mean_iteration_s,
-            golden.run_stats.mean_iteration_s);
-  EXPECT_EQ(streamed.ground_truth.boots, golden.ground_truth.boots);
-  EXPECT_EQ(streamed.ground_truth.TotalLogins(),
-            golden.ground_truth.TotalLogins());
-  EXPECT_EQ(streamed.parse_failures, golden.parse_failures);
-  EXPECT_EQ(streamed.crosscheck_mismatches, golden.crosscheck_mismatches);
-  EXPECT_EQ(streamed.summary.iterations().size(),
-            golden.trace.iterations().size());
-  EXPECT_EQ(streamed.perf_index, golden.perf_index);
-  ExpectAnalysisIdentical(streamed.analysis, MaterialisedAnalysis());
-}
+using core::testing::ExpectRunIdentical;
+using core::testing::GoldenConfig;
+using core::testing::MaterialisedHash;
 
 TEST(StreamingDeterminismTest, InMemoryMatchesMaterialisedEngine) {
   core::StreamingOptions options;
@@ -203,6 +61,54 @@ TEST(StreamingDeterminismTest, SpilledRunMatchesAndCheckpoints) {
   }
   EXPECT_EQ(segments, streamed.labs.size());
   EXPECT_EQ(sidecars, streamed.labs.size());
+}
+
+TEST(StreamingDeterminismTest, CheckpointSidecarFormatIsPinned) {
+  // Spill dirs written by earlier builds must stay resumable, so the
+  // sidecar's magic/version line, fingerprint and key order are frozen.
+  const std::string dir = ::testing::TempDir() + "/labmon_stream_sidecar";
+  std::filesystem::remove_all(dir);
+  core::StreamingOptions options;
+  options.spill_dir = dir;
+  options.block_samples = 4096;
+  const core::ExperimentConfig config = GoldenConfig(2);
+  const auto streamed = core::StreamingExperiment::Run(config, options);
+  ASSERT_TRUE(streamed.errors.empty());
+
+  std::ifstream file(dir + "/lab0000.ck");
+  ASSERT_TRUE(file);
+  std::string line;
+  ASSERT_TRUE(std::getline(file, line));
+  EXPECT_EQ(line, "LMSGCK 2");
+  const std::pair<std::string, std::size_t> expected_keys[] = {
+      {"fingerprint", 1}, {"lab", 1},   {"codec", 1},
+      {"blocks", 1},      {"parse_failures", 1},
+      {"crosscheck_mismatches", 1},     {"stats", 10},
+      {"truth", 9}};
+  for (const auto& [key, value_count] : expected_keys) {
+    SCOPED_TRACE(key);
+    ASSERT_TRUE(std::getline(file, line));
+    std::istringstream fields(line);
+    std::string name;
+    fields >> name;
+    EXPECT_EQ(name, key);
+    std::vector<std::string> values;
+    for (std::string value; fields >> value;) values.push_back(value);
+    ASSERT_EQ(values.size(), value_count);
+    if (key == "fingerprint") {
+      EXPECT_EQ(values[0], std::to_string(core::FingerprintConfig(config)));
+    } else if (key == "lab") {
+      EXPECT_EQ(values[0], "0");
+    } else if (key == "codec") {
+      EXPECT_EQ(values[0], trace::SpillCodecName(trace::kDefaultSpillCodec));
+    } else {
+      for (const std::string& value : values) {
+        EXPECT_EQ(value.find_first_not_of("0123456789"), std::string::npos)
+            << value;
+      }
+    }
+  }
+  EXPECT_FALSE(std::getline(file, line)) << "trailing line: " << line;
 }
 
 TEST(StreamingDeterminismTest, ResumeAfterSimulatedCrashReproduces) {

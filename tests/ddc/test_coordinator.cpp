@@ -1,6 +1,7 @@
 #include "labmon/ddc/coordinator.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -98,6 +99,63 @@ TEST(CoordinatorTest, OverrunDelaysNextIteration) {
   // Iterations never overlap.
   for (std::size_t i = 1; i < sink.iterations.size(); ++i) {
     EXPECT_GE(sink.iterations[i].first, sink.iterations[i - 1].second);
+  }
+}
+
+TEST(CoordinatorTest, WindowedStepsMatchOneRun) {
+  // Begin/StepUntil/Finish over any ascending window partition replays the
+  // exact probe, retry and iteration sequence of one Run() call — the
+  // pipelined engine's lockstep windows rely on it.
+  for (const bool aligned : {false, true}) {
+    for (const util::SimTime window : {1, 60, 150, 1000}) {
+      SCOPED_TRACE("aligned=" + std::to_string(aligned) +
+                   " window=" + std::to_string(window));
+      const auto collect = [&](bool windowed, RecordingSink& sink) {
+        auto fleet = SmallFleet(30);
+        for (std::size_t i = 0; i < fleet.size(); i += 2) {
+          fleet.machine(i).Boot(0);
+        }
+        W32Probe probe;
+        CoordinatorConfig config;
+        config.period = 60;  // half the fleet offline overruns it
+        config.aligned_schedule = aligned;
+        config.exec_policy.transient_failure_prob = 0.05;
+        config.retry.max_attempts = 3;
+        Coordinator coordinator(fleet, probe, config, sink);
+        if (!windowed) return coordinator.Run(0, 3600);
+        coordinator.Begin(0);
+        for (util::SimTime until = window; until < 3600; until += window) {
+          coordinator.StepUntil(until);
+        }
+        coordinator.StepUntil(3600);
+        return coordinator.Finish();
+      };
+      RecordingSink whole;
+      RecordingSink stepped;
+      const RunStats a = collect(false, whole);
+      const RunStats b = collect(true, stepped);
+      EXPECT_GT(a.retry_attempts, 0u);
+      EXPECT_GT(a.timeouts, 0u);
+      EXPECT_EQ(a.iterations, b.iterations);
+      EXPECT_EQ(a.attempts, b.attempts);
+      EXPECT_EQ(a.successes, b.successes);
+      EXPECT_EQ(a.timeouts, b.timeouts);
+      EXPECT_EQ(a.errors, b.errors);
+      EXPECT_EQ(a.retry_attempts, b.retry_attempts);
+      EXPECT_EQ(a.total_span_s, b.total_span_s);
+      EXPECT_EQ(a.mean_iteration_s, b.mean_iteration_s);
+      EXPECT_EQ(whole.iterations, stepped.iterations);
+      ASSERT_EQ(whole.samples.size(), stepped.samples.size());
+      for (std::size_t i = 0; i < whole.samples.size(); ++i) {
+        const CollectedSample& x = whole.samples[i];
+        const CollectedSample& y = stepped.samples[i];
+        EXPECT_EQ(x.machine_index, y.machine_index);
+        EXPECT_EQ(x.iteration, y.iteration);
+        EXPECT_EQ(x.attempt_time, y.attempt_time);
+        EXPECT_EQ(x.attempt_number, y.attempt_number);
+        EXPECT_EQ(x.outcome.status, y.outcome.status);
+      }
+    }
   }
 }
 

@@ -80,6 +80,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -288,11 +289,15 @@ int main(int argc, char** argv) {
     } else if (const char* v = flag_value("--anomaly-threshold")) {
       anomaly_threshold = std::atof(v);
     } else if (const char* v = flag_value("--harvest-dag")) {
-      harvest_jobs = static_cast<std::size_t>(std::atoll(v));
-      if (harvest_jobs == 0) {
-        std::cerr << "--harvest-dag wants a positive job count\n";
+      // Job ids are 32-bit dependency ids, so at most 2^32-1 jobs.
+      const auto parsed = util::ParseInt64(v);
+      if (!parsed || *parsed < 1 ||
+          *parsed > std::numeric_limits<std::uint32_t>::max()) {
+        std::cerr << "--harvest-dag wants a job count in [1, 4294967295], "
+                     "got \"" << v << "\"\n";
         return 1;
       }
+      harvest_jobs = static_cast<std::size_t>(*parsed);
     } else if (const char* v = flag_value("--job-mix")) {
       const auto parsed = harvest::ParseJobMixName(v);
       if (!parsed) {
@@ -302,7 +307,17 @@ int main(int argc, char** argv) {
       }
       job_mix = *parsed;
     } else if (const char* v = flag_value("--deadline")) {
-      deadline_hours = std::atof(v);
+      // The deadline becomes SimTime seconds, so it must fit in one; the
+      // negated test also rejects NaN and infinities.
+      const auto parsed = util::ParseDouble(v);
+      constexpr auto kClockLimit =
+          static_cast<double>(std::numeric_limits<util::SimTime>::max());
+      if (!parsed || !(*parsed >= 0.0 && *parsed * 3600.0 < kClockLimit)) {
+        std::cerr << "--deadline wants a non-negative number of hours that "
+                     "fits the simulation clock, got \"" << v << "\"\n";
+        return 1;
+      }
+      deadline_hours = *parsed;
     } else if (arg.rfind("--", 0) == 0) {
       std::cerr << "unknown flag " << arg << '\n';
       return 1;

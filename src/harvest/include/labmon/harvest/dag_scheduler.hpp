@@ -1,11 +1,16 @@
 // DagScheduler — opportunistic execution of job DAGs on the idle fleet.
 //
-// Where DesktopGrid (scheduler.hpp) runs a bag of identical units, the
-// DagScheduler runs a JobDag: heterogeneous jobs with dependency edges,
-// priorities and deadlines, in the style of taskvine/makeflow workers
-// scavenging desktop cycles. It is built on the same substrate — machines
-// are claimed through the keyboard-idle guard, tasks checkpoint on a timer,
-// evictions cost the progress beyond the last checkpoint — and adds:
+// The paper's conclusion is that classroom idleness is harvestable "for
+// grid desktop computing" but that volatility "requires survival techniques
+// such as checkpointing, oversubscription and multiple executions" (§6).
+// This scheduler puts a number on that claim: a Condor/BOINC-style
+// scavenger runs a JobDag — heterogeneous jobs with dependency edges,
+// priorities and deadlines, in the style of taskvine/makeflow workers; a
+// bag of identical units is simply a dag with no edges — on the simulated
+// fleet, co-driven by the same behavioural model the monitoring experiment
+// measures. Machines are claimed through a keyboard-idle guard, tasks
+// checkpoint on a timer, evictions cost the progress beyond the last
+// checkpoint, and on top of that it adds:
 //
 //  * dependency-aware dispatch: a job becomes ready only when every parent
 //    has completed; ready jobs are ordered by priority, then earliest
@@ -14,18 +19,28 @@
 //    the behavioural driver, so interactive logins and power transitions
 //    *between* scheduler steps still evict (and reset the idle guard) —
 //    a pure poller would miss the paper's §5.2.2 invisible short cycles;
+//  * speculative backups (the paper's "multiple executions"): once the
+//    ready queue drains, idle machines start extra copies of the running
+//    job with the least secured progress; the first copy to finish wins
+//    and the losers are cancelled, their duplicated work charged as waste;
 //  * chaos tolerance: a faultsim::FaultPlan maps onto the harvest layer
 //    (scripted crashes/outages make machines unclaimable and evict their
 //    tasks; stochastic transient errors kill the attempt; hangs stall a
 //    step; stragglers slow one), and evicted/failed jobs are retried from
 //    their checkpoint under bounded exponential backoff;
 //  * exactly-once accounting: each job's work is credited at its first
-//    completion and never again, chaos or not.
+//    completion and never again, chaos or backups or not.
+//
+// Progress is measured in *index-seconds*: one second of exclusive CPU on a
+// machine of NBench combined index 1.0. A job of, say, 25 index-hours
+// takes ~48 wall minutes on an idle L03 box (index ~38).
 //
 // Retry semantics: the attempt budget (`max_attempts`) is consumed only by
-// injected task failures — an eviction is the environment's fault, so it
-// requeues (with backoff) without spending the budget. A job whose budget
-// is exhausted goes to kFailed and its descendants stay kPending forever.
+// injected task failures, of any copy — an eviction is the environment's
+// fault, so it requeues (with backoff) without spending the budget. An
+// evicted or failed copy requeues its job only when no sibling copy is
+// still running. A job whose budget is exhausted goes to kFailed and its
+// descendants stay kPending forever.
 //
 // Determinism: the scheduler is single-threaded, every container is
 // index-ordered, and all chaos draws come from one private stream (plan
@@ -35,11 +50,11 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "labmon/faultsim/fault_plan.hpp"
 #include "labmon/harvest/dag.hpp"
-#include "labmon/harvest/scheduler.hpp"
 #include "labmon/obs/registry.hpp"
 #include "labmon/util/time.hpp"
 #include "labmon/winsim/fleet.hpp"
@@ -47,10 +62,29 @@
 
 namespace labmon::harvest {
 
-/// Policy of a DAG harvesting run. The embedded HarvestPolicy supplies the
-/// substrate knobs (occupied-machine use, checkpoint interval, scheduler
-/// step, claim delay); its speculative-backup fields are ignored here —
-/// dag jobs run one copy at a time.
+/// Scavenging knobs of the machine substrate.
+struct HarvestPolicy {
+  /// Also run on occupied machines (stealing only the idle share), or
+  /// restrict to user-free machines (eviction when somebody logs in).
+  bool use_occupied_machines = false;
+  /// Seconds of task runtime between checkpoints; 0 disables checkpointing
+  /// (an eviction then loses the job's entire accrued progress).
+  double checkpoint_interval_s = 15 * 60;
+  /// Scheduler reaction period (matches real scavengers' polling).
+  util::SimTime scheduler_step_s = 60;
+  /// Machines must have been free for this long before being claimed
+  /// (Condor-style "keyboard idle" guard). 0 claims immediately.
+  util::SimTime claim_delay_s = 5 * 60;
+  /// Speculative backup copies (the paper's "multiple executions"): when
+  /// the ready queue is empty, idle machines re-execute the running job
+  /// with the lowest checkpoint from that checkpoint, up to
+  /// `max_copies_per_unit` concurrent copies (original included); the
+  /// first copy to finish wins.
+  bool speculative_backups = false;
+  int max_copies_per_unit = 2;
+};
+
+/// Policy of a DAG harvesting run: the substrate knobs plus the retry rules.
 struct DagPolicy {
   HarvestPolicy grid;
   /// Injected-failure budget per job (evictions do not count against it).
@@ -65,7 +99,7 @@ struct DagPolicy {
 enum class DagJobState : std::uint8_t {
   kPending,    ///< waiting on parents (or stranded behind a failed parent)
   kReady,      ///< dispatchable (includes backoff cooling)
-  kRunning,    ///< claimed by a machine
+  kRunning,    ///< at least one copy is on a machine
   kCompleted,  ///< finished; credited exactly once
   kFailed,     ///< injected-failure budget exhausted
 };
@@ -74,7 +108,7 @@ enum class DagJobState : std::uint8_t {
 struct DagJobRun {
   DagJobState state = DagJobState::kPending;
   util::SimTime completed_at = 0;   ///< absolute sim time; 0 if never
-  std::uint32_t attempts = 0;       ///< dispatches to a machine
+  std::uint32_t attempts = 0;       ///< dispatches, backup copies included
   std::uint32_t evictions = 0;      ///< login + poweroff + chaos evictions
   std::uint32_t chaos_failures = 0; ///< injected failures (consume budget)
   std::uint32_t completions = 0;    ///< exactly-once invariant: always <= 1
@@ -91,11 +125,11 @@ struct DagResult {
   /// Wall seconds from start to the last completion (= horizon when the
   /// dag did not finish).
   double makespan_s = 0.0;
-  /// Goodput: index-seconds credited to completed jobs plus surviving
-  /// checkpointed progress of unfinished ones.
+  /// Goodput: index-seconds credited to completed jobs plus the best
+  /// surviving progress of unfinished ones.
   double useful_index_seconds = 0.0;
-  /// Eviction/failure waste: progress lost beyond the last checkpoint,
-  /// in index-seconds.
+  /// Eviction/failure waste: progress lost beyond the last checkpoint, plus
+  /// the duplicated work of cancelled backup copies, in index-seconds.
   double wasted_index_seconds = 0.0;
   std::uint64_t evictions_login = 0;
   std::uint64_t evictions_poweroff = 0;
@@ -103,6 +137,9 @@ struct DagResult {
   std::uint64_t chaos_task_failures = 0;
   std::uint64_t retries = 0;           ///< requeues (evictions + failures)
   std::uint64_t checkpoints_written = 0;
+  std::uint64_t backup_copies_started = 0;
+  /// Copies stopped because a sibling completed (or failed) the job first.
+  std::uint64_t backup_copies_cancelled = 0;
   double mean_busy_machines = 0.0;
   /// Fleet-average combined index used in the Fig 6 normalisation.
   double fleet_mean_index = 0.0;
@@ -127,7 +164,8 @@ struct DagResult {
     return gross > 0.0 ? wasted_index_seconds / gross : 0.0;
   }
 
-  /// FNV-1a fingerprint over every per-job record and global counter.
+  /// FNV-1a fingerprint over every per-job record and the global counters
+  /// (the backup counters are not hashed).
   /// Bit-identical runs (same dag, seeds, plan) hash identically; a single
   /// divergent eviction or duplicated credit changes it.
   [[nodiscard]] std::uint64_t ResultHash() const noexcept;
@@ -164,7 +202,8 @@ class DagScheduler final : public workload::MachineObserver {
   struct Slot {
     bool has_task = false;
     std::size_t job = 0;
-    double progress = 0.0;          ///< index-seconds done on this attempt
+    double progress = 0.0;          ///< index-seconds done on this copy
+    double started_from = 0.0;      ///< checkpoint the copy resumed from
     double runtime_since_cp = 0.0;  ///< task wall seconds since checkpoint
     util::SimTime free_since = 0;   ///< when the machine became eligible
     bool was_eligible = false;
@@ -179,6 +218,7 @@ class DagScheduler final : public workload::MachineObserver {
     std::uint32_t waiting_on = 0;  ///< unfinished parents
     util::SimTime eligible_at = 0; ///< backoff gate for requeues
     std::uint32_t retries = 0;     ///< requeues so far (backoff exponent)
+    int running_copies = 0;        ///< copies currently on machines
   };
 
   struct CrashWindow {
@@ -200,5 +240,8 @@ class DagScheduler final : public workload::MachineObserver {
   obs::Registry* metrics_ = nullptr;
   std::vector<Slot> slots_;  ///< live only inside Run (observer target)
 };
+
+/// Renders the policy as a table row label, e.g. "free-only, ckpt 15 min".
+[[nodiscard]] std::string DescribePolicy(const HarvestPolicy& policy);
 
 }  // namespace labmon::harvest

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "labmon/obs/harvest_metrics.hpp"
+#include "labmon/util/strings.hpp"
 
 namespace labmon::harvest {
 namespace {
@@ -187,6 +188,12 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
   double elapsed_s = 0.0;
   std::uint64_t terminal = 0;  // completed + failed
 
+  // Bumps a result counter and its instrument (null when metrics are off).
+  const auto tally = [](std::uint64_t& count, obs::Counter* counter) {
+    ++count;
+    if (counter != nullptr) counter->Increment();
+  };
+
   // Requeues an interrupted/failed job under bounded exponential backoff.
   const auto requeue = [&](std::size_t job, util::SimTime t) {
     JobState& js = jobs[job];
@@ -199,8 +206,7 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
     js.eligible_at = t + static_cast<util::SimTime>(backoff);
     cooling.insert(std::upper_bound(cooling.begin(), cooling.end(), job), job);
     result.jobs[job].state = DagJobState::kReady;
-    ++result.retries;
-    if (instruments.enabled()) instruments.retries->Increment();
+    tally(result.retries, instruments.retries);
   };
 
   // Marks `job` completed and releases its children. Exactly-once: the
@@ -228,6 +234,29 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
     for (std::uint32_t child : children[job]) {
       if (--jobs[child].waiting_on == 0) enqueue_ready(child);
     }
+  };
+
+  // Takes a copy off its machine; the job is requeued only when asked and
+  // no sibling copy is still running.
+  const auto detach = [&](Slot& slot, util::SimTime t, bool requeue_orphan) {
+    slot.has_task = false;
+    if (--jobs[slot.job].running_copies == 0 && requeue_orphan) {
+      requeue(slot.job, t);
+    }
+  };
+
+  // Backup target: the running job with the lowest secured checkpoint and
+  // a free copy, ties to the lowest id; n when there is none.
+  const auto pick_backup = [&]() {
+    std::size_t best = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (result.jobs[i].state != DagJobState::kRunning ||
+          jobs[i].running_copies >= policy_.grid.max_copies_per_unit) {
+        continue;
+      }
+      if (best == n || jobs[i].checkpoint < jobs[best].checkpoint) best = i;
+    }
+    return best;
   };
 
   for (util::SimTime t = start; t < end; t += step) {
@@ -262,24 +291,28 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
                             (policy_.grid.use_occupied_machines ||
                              !m.Session().has_value());
 
+      if (slot.has_task &&
+          result.jobs[slot.job].state != DagJobState::kRunning) {
+        // A sibling copy completed (or failed) the job first: everything
+        // this copy computed beyond its resume point was duplicated.
+        result.wasted_index_seconds +=
+            std::max(0.0, slot.progress - slot.started_from);
+        ++result.backup_copies_cancelled;
+        detach(slot, t, /*requeue_orphan=*/false);
+      }
+
       if (slot.has_task) {
         const std::size_t job = slot.job;
         JobState& js = jobs[job];
-        bool evicted = false;
+        bool evicted = true;
         if (chaos_down) {
-          ++result.evictions_chaos;
-          if (instruments.enabled()) instruments.evictions_chaos->Increment();
-          evicted = true;
+          tally(result.evictions_chaos, instruments.evictions_chaos);
         } else if (slot.power_blip || !m.powered_on()) {
-          ++result.evictions_poweroff;
-          if (instruments.enabled()) {
-            instruments.evictions_poweroff->Increment();
-          }
-          evicted = true;
+          tally(result.evictions_poweroff, instruments.evictions_poweroff);
         } else if (session_evicts) {
-          ++result.evictions_login;
-          if (instruments.enabled()) instruments.evictions_login->Increment();
-          evicted = true;
+          tally(result.evictions_login, instruments.evictions_login);
+        } else {
+          evicted = false;
         }
 
         if (evicted) {
@@ -288,10 +321,7 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
           result.wasted_index_seconds +=
               std::max(0.0, slot.progress - js.checkpoint);
           ++result.jobs[job].evictions;
-          requeue(job, t);
-          slot.has_task = false;
-          slot.progress = 0.0;
-          slot.runtime_since_cp = 0.0;
+          detach(slot, t, /*requeue_orphan=*/true);
         } else {
           // Stochastic chaos, drawn in a fixed per-task protocol.
           bool failed = false;
@@ -313,20 +343,17 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
                 std::max(0.0, slot.progress - js.checkpoint);
             ++result.chaos_task_failures;
             ++result.jobs[job].chaos_failures;
-            if (result.jobs[job].chaos_failures >=
-                static_cast<std::uint32_t>(std::max(1, policy_.max_attempts))) {
-              // Budget exhausted: terminal failure. The checkpointed work
-              // becomes waste at run end; descendants stay pending.
+            const bool exhausted =
+                result.jobs[job].chaos_failures >=
+                static_cast<std::uint32_t>(std::max(1, policy_.max_attempts));
+            if (exhausted) {
+              // Terminal failure. The checkpointed work becomes waste at
+              // run end; descendants stay pending; sibling copies cancel.
               result.jobs[job].state = DagJobState::kFailed;
-              ++result.jobs_failed;
+              tally(result.jobs_failed, instruments.jobs_failed);
               ++terminal;
-              if (instruments.enabled()) instruments.jobs_failed->Increment();
-            } else {
-              requeue(job, t);
             }
-            slot.has_task = false;
-            slot.progress = 0.0;
-            slot.runtime_since_cp = 0.0;
+            detach(slot, t, /*requeue_orphan=*/!exhausted);
           } else {
             busy_machine_seconds += step_s;
             if (!hung) {
@@ -340,14 +367,11 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
                 slot.runtime_since_cp >= policy_.grid.checkpoint_interval_s) {
               js.checkpoint = std::max(js.checkpoint, slot.progress);
               slot.runtime_since_cp = 0.0;
-              ++result.checkpoints_written;
-              if (instruments.enabled()) instruments.checkpoints->Increment();
+              tally(result.checkpoints_written, instruments.checkpoints);
             }
             if (slot.progress >= dag.jobs[job].index_seconds) {
               complete(job, t + step);
-              slot.has_task = false;
-              slot.progress = 0.0;
-              slot.runtime_since_cp = 0.0;
+              detach(slot, t, /*requeue_orphan=*/false);
               if (result.jobs_completed == n) {
                 result.dag_finished = true;
                 result.makespan_s = static_cast<double>(t + step - start);
@@ -364,14 +388,25 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
             slot.power_blip || !slot.was_eligible ||
             (!policy_.grid.use_occupied_machines && slot.login_blip);
         if (guard_reset) slot.free_since = t;
-        if (t - slot.free_since >= policy_.grid.claim_delay_s &&
-            !ready.empty()) {
-          const std::size_t job = ready.front();
-          ready.erase(ready.begin());
+        std::size_t job = n;
+        if (t - slot.free_since >= policy_.grid.claim_delay_s) {
+          if (!ready.empty()) {
+            job = ready.front();
+            ready.erase(ready.begin());
+          } else if (policy_.grid.speculative_backups) {
+            job = pick_backup();
+            if (job < n) {
+              tally(result.backup_copies_started, instruments.backup_copies);
+            }
+          }
+        }
+        if (job < n) {
+          // Every copy, original or backup, resumes from the checkpoint.
           slot.has_task = true;
           slot.job = job;
-          slot.progress = jobs[job].checkpoint;
+          slot.progress = slot.started_from = jobs[job].checkpoint;
           slot.runtime_since_cp = 0.0;
+          ++jobs[job].running_copies;
           result.jobs[job].state = DagJobState::kRunning;
           ++result.jobs[job].attempts;
         }
@@ -386,20 +421,22 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
 
   driver_.SetObserver(nullptr);
 
-  // Surviving progress of live jobs still counts as useful (resumable);
-  // the checkpointed progress of terminally failed jobs does not.
+  // Surviving progress of live jobs still counts as useful (resumable): the
+  // best of each job's checkpoint and running copies, found in one pass
+  // over the slots, then summed in id order. The checkpointed progress of
+  // terminally failed jobs does not.
+  std::vector<double> best(n);
+  for (std::size_t i = 0; i < n; ++i) best[i] = jobs[i].checkpoint;
+  for (const Slot& slot : slots_) {
+    if (slot.has_task) best[slot.job] = std::max(best[slot.job], slot.progress);
+  }
   for (std::size_t i = 0; i < n; ++i) {
     const DagJobState state = result.jobs[i].state;
-    if (state == DagJobState::kCompleted) continue;
     if (state == DagJobState::kFailed) {
       result.wasted_index_seconds += jobs[i].checkpoint;
-      continue;
+    } else if (state != DagJobState::kCompleted) {
+      result.useful_index_seconds += best[i];
     }
-    double best = jobs[i].checkpoint;
-    for (const Slot& slot : slots_) {
-      if (slot.has_task && slot.job == i) best = std::max(best, slot.progress);
-    }
-    result.useful_index_seconds += best;
   }
   slots_.clear();
 
@@ -427,6 +464,18 @@ DagResult DagScheduler::Run(const JobDag& dag, util::SimTime start,
     instruments.effective_machines->Set(result.effective_dedicated_machines);
   }
   return result;
+}
+
+std::string DescribePolicy(const HarvestPolicy& policy) {
+  std::string out = policy.use_occupied_machines ? "free+occupied" : "free-only";
+  if (policy.checkpoint_interval_s <= 0.0) {
+    out += ", no ckpt";
+  } else {
+    out += ", ckpt " +
+           util::FormatFixed(policy.checkpoint_interval_s / 60.0, 0) + " min";
+  }
+  if (policy.speculative_backups) out += ", backups";
+  return out;
 }
 
 }  // namespace labmon::harvest

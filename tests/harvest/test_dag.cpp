@@ -225,22 +225,32 @@ void CheckInvariants(const JobDag& dag, const DagResult& result,
 }
 
 TEST(DagSchedulerPropertyTest, RandomDagsUpholdInvariants) {
-  for (std::uint64_t seed : {1ull, 17ull, 404ull}) {
-    for (JobMixKind kind : {JobMixKind::kChain, JobMixKind::kRandomLayered,
-                            JobMixKind::kMixed}) {
-      JobMixOptions o;
-      o.kind = kind;
-      o.jobs = 60;
-      o.mean_index_hours = 4.0;
-      o.seed = seed;
-      const JobDag dag = MakeJobMix(o);
-      DagFixture f(3, seed);
-      DagPolicy policy;
-      const DagResult result = RunMix(f, dag, policy);
-      SCOPED_TRACE(std::string(JobMixName(kind)) + " seed " +
-                   std::to_string(seed));
-      CheckInvariants(dag, result, f.campus.EndTime());
-      EXPECT_GT(result.jobs_completed, 0u);
+  for (bool backups : {false, true}) {
+    for (std::uint64_t seed : {1ull, 17ull, 404ull}) {
+      for (JobMixKind kind : {JobMixKind::kChain, JobMixKind::kRandomLayered,
+                              JobMixKind::kMixed}) {
+        JobMixOptions o;
+        o.kind = kind;
+        o.jobs = 60;
+        o.mean_index_hours = 4.0;
+        o.seed = seed;
+        const JobDag dag = MakeJobMix(o);
+        DagFixture f(3, seed);
+        DagPolicy policy;
+        policy.grid.speculative_backups = backups;
+        const DagResult result = RunMix(f, dag, policy);
+        SCOPED_TRACE(std::string(JobMixName(kind)) + " seed " +
+                     std::to_string(seed) +
+                     (backups ? " backups" : " no backups"));
+        CheckInvariants(dag, result, f.campus.EndTime());
+        EXPECT_GT(result.jobs_completed, 0u);
+        // Every cancelled copy lost a race against a started backup.
+        EXPECT_LE(result.backup_copies_cancelled,
+                  result.backup_copies_started);
+        if (!backups) {
+          EXPECT_EQ(result.backup_copies_started, 0u);
+        }
+      }
     }
   }
 }
@@ -323,8 +333,14 @@ TEST(DagSchedulerTest, ZeroLengthHorizonIsANoOp) {
   DagScheduler scheduler(*f.fleet, *f.driver, policy);
   const DagResult result = scheduler.Run(dag, 0, 0);
   EXPECT_EQ(result.jobs_completed, 0u);
+  EXPECT_FALSE(result.dag_finished);
   EXPECT_DOUBLE_EQ(result.makespan_s, 0.0);
   EXPECT_DOUBLE_EQ(result.useful_index_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(result.wasted_index_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(result.effective_dedicated_machines, 0.0);
+  EXPECT_EQ(result.evictions_login + result.evictions_poweroff +
+                result.evictions_chaos,
+            0u);
   for (const DagJobRun& run : result.jobs) {
     EXPECT_EQ(run.attempts, 0u);
   }

@@ -543,7 +543,7 @@ void BM_VarintPut(benchmark::State& state) {
 BENCHMARK(BM_VarintPut)->Arg(0)->Arg(1);
 
 void BM_StagingRingPushPop(benchmark::State& state) {
-  // Per-handoff overhead of the pipelined engine's staging ring (mutex +
+  // Per-handoff overhead of the streaming engine's staging ring (mutex +
   // two condvars) on the uncontended fast path: one Push + one Pop per
   // iteration on a never-full ring, moving the same pooled block pointer
   // the real engine stages.
@@ -596,7 +596,7 @@ std::vector<std::vector<trace::TraceBlock>> MergeBenchParts(
 }
 
 void BM_IncrementalMergeFront(benchmark::State& state) {
-  // The pipelined merge stage's hot loop: per-iteration-front gather +
+  // The streaming merge stage's hot loop: per-iteration-front gather +
   // (t, machine) key sort + columnar append across all parts. Arg is the
   // sort worker count (1 = serial, >1 = parallel per-front sorts over the
   // batched backlog). All blocks are pre-buffered so the benchmark

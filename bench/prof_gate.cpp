@@ -18,9 +18,9 @@
 //         serial". The formula is the gate's contract: better hardware is
 //         held to a proportionally higher bar.
 //       * the profile is non-trivial (simulate+probe self time > 0)
-//       * pipelined stream hash matches the materialised trace at every
-//         shard count (pipeline_bit_identical)
-//       * pipelined serial fraction <= 0.10 (or <= 150 ms absolute on
+//       * the streaming engine's stream hash matches the materialised
+//         trace at every shard count (pipeline_bit_identical)
+//       * streaming serial fraction <= 0.10 (or <= 150 ms absolute on
 //         tiny runs): the collect/merge/fold overlap must cover the run
 //
 //   prof_gate BASELINE.json CURRENT.json
@@ -28,7 +28,7 @@
 //     bench/baselines/BENCH_prof.json). Runs the invariant gate on
 //     CURRENT, then compares against BASELINE with tolerance bands: total
 //     profiled wall <= 1.25x + 100 ms, per-phase self time <= 1.35x +
-//     50 ms, 4-shard speedup no more than 0.25 below baseline, pipelined
+//     50 ms, 4-shard speedup no more than 0.25 below baseline, streaming
 //     serial fraction within 0.05 of baseline. Bands are wide because
 //     bench containers are noisy; the gate exists to catch step
 //     regressions (a new O(n^2) pass, a serialized merge), not 3% jitter.
@@ -112,10 +112,10 @@ void InvariantGate(const util::json::Value& doc) {
         "simulate+probe self " + util::FormatFixed(busy, 3) + " s");
 
   Check(doc["pipeline_bit_identical"].AsBool(false),
-        "pipelined stream hash matches materialised trace",
+        "streaming-engine stream hash matches materialised trace",
         "pipeline_bit_identical");
 
-  // The pipelined engine's contract: at most 10% of the run's wall time
+  // The streaming engine's contract: at most 10% of the run's wall time
   // may fall outside the overlapped collect/merge/fold region. On tiny
   // runs (snappy containers, small LABMON_SCALE_DAYS) the serial prologue
   // is a fixed cost and the fraction is noise, so an absolute escape of
@@ -123,7 +123,7 @@ void InvariantGate(const util::json::Value& doc) {
   const double serial_fraction = doc.Number("pipeline_serial_fraction_8", 1e9);
   const double serial_s = doc.Number("pipeline_serial_s_8", 1e9);
   Check(serial_fraction <= 0.10 || serial_s <= 0.15,
-        "pipelined serial fraction within 0.10 budget",
+        "streaming serial fraction within 0.10 budget",
         util::FormatFixed(serial_fraction, 3) + " / " +
             util::FormatFixed(serial_s * 1000.0, 1) + " ms");
 }
@@ -155,13 +155,13 @@ void DiffGate(const util::json::Value& base, const util::json::Value& cur) {
             util::FormatFixed(base_speedup, 2) + "x");
 
   // Serial fraction regressions mean something un-overlapped crept into
-  // the pipelined engine (a new barrier, a serialized assembly step). The
+  // the streaming engine (a new barrier, a serialized assembly step). The
   // same absolute escape as the invariant gate applies.
   const double base_serial = base.Number("pipeline_serial_fraction_8", 0.0);
   const double cur_serial = cur.Number("pipeline_serial_fraction_8", 1e9);
   const double cur_serial_s = cur.Number("pipeline_serial_s_8", 1e9);
   Check(cur_serial <= base_serial + 0.05 || cur_serial_s <= 0.15,
-        "pipelined serial fraction within 0.05 of baseline",
+        "streaming serial fraction within 0.05 of baseline",
         util::FormatFixed(cur_serial, 3) + " vs " +
             util::FormatFixed(base_serial, 3));
 }

@@ -10,8 +10,8 @@
 //   2. Shard sweep {1, 2, 4, 8}: wall time, machine-samples/s, measured
 //      speedup vs one shard, the load-balance speedup bound, and the
 //      profiler's per-phase self-time/allocation breakdown per run.
-//   2b. Pipelined engine sweep {1, 2, 8} shards: the overlapped
-//      collect/merge/fold engine (core::PipelinedExperiment) on the same
+//   2b. Streaming engine sweep {1, 2, 8} shards: the overlapped
+//      collect/merge/fold engine (core::StreamingExperiment) on the same
 //      campus — stream hash vs the materialised trace, serial fraction,
 //      ring/merge-lag/arena-reuse stats.
 //   3. Fleet-size sweep LABMON_SCALE_SWEEP (default "1,8,48" lab
@@ -170,12 +170,12 @@ struct ScaleRun {
   PhaseBreakdown phases;
 };
 
-/// One pipelined-engine run of the shard sweep.
+/// One streaming-engine run of the shard sweep.
 struct PipeRun {
   int shards = 0;
   double wall_s = 0.0;
   double samples_per_s = 0.0;
-  double speedup = 0.0;  ///< vs the pipelined shards=1 run (measured)
+  double speedup = 0.0;  ///< vs the streaming shards=1 run (measured)
   std::uint64_t attempts = 0;
   std::uint64_t stream_hash = 0;
   core::PipelineStats stats;
@@ -327,10 +327,10 @@ int main() {
   }
   const bool prof_hash_stable = runs.front().trace_hash == off_a.trace_hash;
 
-  // ---- 2b. Pipelined engine sweep. -------------------------------------
-  // Same campus through core::PipelinedExperiment at {1, 2, 8} shards. The
+  // ---- 2b. Streaming engine sweep. -------------------------------------
+  // Same campus through core::StreamingExperiment at {1, 2, 8} shards. The
   // merged sample-stream hash must match the materialised trace's at every
-  // shard count (bit-identical pipelining), and the serial fraction — the
+  // shard count (bit-identical streaming), and the serial fraction — the
   // share of wall time outside the overlapped collect/merge/fold region —
   // is the number prof_gate pins (budget: <= 0.10).
   const std::uint64_t mat_stream_hash = [&] {
@@ -344,7 +344,7 @@ int main() {
     core::StreamingOptions options;  // in-memory, default block/ring sizes
     obs::prof::Reset();
     const auto start = std::chrono::steady_clock::now();
-    const auto result = core::PipelinedExperiment::Run(config, options);
+    const auto result = core::StreamingExperiment::Run(config, options);
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
@@ -368,7 +368,7 @@ int main() {
         pipeline_bit_identical && run.stream_hash == mat_stream_hash;
     pipe_runs.push_back(run);
 
-    std::cout << "pipelined shards=" << shards << ": "
+    std::cout << "streaming shards=" << shards << ": "
               << util::FormatFixed(run.wall_s, 3) << " s, "
               << util::FormatFixed(run.samples_per_s, 0)
               << " machine-samples/s, serial fraction "
@@ -547,7 +547,7 @@ int main() {
     return 1;
   }
   if (!pipeline_bit_identical) {
-    std::cerr << "FAIL: pipelined stream hash differs from the "
+    std::cerr << "FAIL: streaming-engine stream hash differs from the "
                  "materialised trace\n";
     return 1;
   }
@@ -559,7 +559,7 @@ int main() {
             << "BENCH_prof_trace.json (bit-identical across shard counts "
             << "and engines; balance bound at 4 shards: "
             << util::FormatFixed(four.load_balance_bound, 2)
-            << "x; pipelined serial fraction at 8 shards: "
+            << "x; streaming serial fraction at 8 shards: "
             << util::FormatFixed(pipe_wide.stats.serial_fraction, 3) << ")\n";
   return 0;
 }

@@ -1,13 +1,14 @@
 // stream_fleet — streamed-vs-materialised campaign bench.
 //
-// Measures the streaming trace pipeline (core::StreamingExperiment with
-// spill-to-disk segments) against the materialised engine
-// (core::Experiment) on the same campus and seed:
+// Measures the streaming engine (core::StreamingExperiment: lockstep
+// shard collection, staging ring, merge frontier and analysis fold running
+// concurrently, spilling per-lab segments to disk) against the
+// materialised engine (core::Experiment) on the same campus and seed:
 //
 //   * wall time and machine-samples/s per mode
-//   * peak RSS per mode — the streaming pipeline's whole point is that
-//     its footprint is bounded by block size + per-machine analysis
-//     state, not by the simulated horizon
+//   * peak RSS per mode — the streaming engine's whole point is that its
+//     footprint is bounded by block size, ring capacity and per-machine
+//     analysis state, not by the simulated horizon
 //   * the merged sample-stream hash, which must be identical between the
 //     streamed and the materialised run (bit-identical streaming)
 //

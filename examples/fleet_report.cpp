@@ -5,7 +5,7 @@
 //                    [--workers N] [--snapshot-dir DIR]
 //                    [--shards N] [--scale-labs K]
 //                    [--fault-plan plan.ini] [--retry N]
-//                    [--stream] [--pipeline] [--spill-dir DIR] [--resume]
+//                    [--stream] [--spill-dir DIR] [--resume]
 //                    [--spill-codec lmsg1|lmsg2]
 //                    [--block-samples N] [--ring-capacity N]
 //                    [--anomaly-threshold Z]
@@ -24,26 +24,25 @@
 //
 // --stream runs the campaign through the streaming engine: collection
 // seals fixed-size trace blocks (--block-samples, default 65536) instead
-// of materialising the trace, the merge re-streams them and the analyses
-// fold incrementally — peak memory is O(block), independent of --days,
-// and the analysis output is bit-identical to the materialised engine.
-// --spill-dir DIR spills sealed blocks to per-lab checkpointed segments
-// in DIR; --resume reuses valid checkpoints found there (a campaign
-// killed mid-run restarts where it left off). --spill-codec picks the
-// segment format for newly written spills (default lmsg2, the per-column
-// compressed one; lmsg1 is the uncompressed original) — read-back always
-// dispatches on each segment's own magic, so resume may mix codecs and
-// the analyses are bit-identical either way. --pipeline runs the
-// streaming campaign through the pipelined engine instead: shard workers
-// overlap simulation with the merge and the analysis fold via a bounded
-// staging ring (--ring-capacity, default 64 blocks), same bit-identical
-// output; the run summary adds ring/merge-lag/arena-reuse stats and
-// --prof-out wraps the profile as {"prof": ..., "pipeline": ...}.
-// --anomaly-threshold Z
-// enables online per-machine z-score anomaly detection (|z| >= Z on
-// memory load and CPU idle) and writes anomalies.jsonl into output_dir.
-// Streaming mode skips the CSV/trace exports (there is no materialised
-// trace to export).
+// of materialising the trace, and shard workers overlap simulation with
+// the merge and the incremental analysis fold through a bounded staging
+// ring (--ring-capacity, default 64 blocks). Peak memory is O(block),
+// independent of --days, and the analysis output is bit-identical to the
+// materialised engine. The run summary adds ring/merge-lag/arena-reuse
+// stats, and --prof-out wraps the profile as
+// {"prof": ..., "pipeline": ...}. --spill-dir DIR spills sealed blocks to
+// per-lab checkpointed segments in DIR; --resume reuses valid checkpoints
+// found there (a campaign killed mid-run restarts where it left off).
+// --spill-codec picks the segment format for newly written spills
+// (default lmsg2, the per-column compressed one; lmsg1 is the
+// uncompressed original) — read-back always dispatches on each segment's
+// own magic, so resume may mix codecs and the analyses are bit-identical
+// either way. --anomaly-threshold Z enables online per-machine z-score
+// anomaly detection (|z| >= Z on memory load and CPU idle) and writes
+// anomalies.jsonl into output_dir. Streaming mode skips the CSV/trace
+// exports (there is no materialised trace to export). --block-samples
+// and --ring-capacity take integers >= 1, --anomaly-threshold a finite
+// number >= 0.
 //
 // --shards N runs the simulation over N real threads (0 = one per core,
 // default). Output-invariant: any shard count yields the bit-identical
@@ -60,8 +59,8 @@
 // writes one after simulating), so repeated reports on the same config
 // skip the simulation entirely. Defaults to $LABMON_SNAPSHOT_DIR.
 //
-// --workers bounds the analysis-pipeline sweep (0 = all cores); the
-// report is bitwise identical for any worker count.
+// --workers N (>= 1) bounds the analysis-pipeline sweep (default: all
+// cores); the report is bitwise identical for any worker count.
 //
 // --metrics-out wires the collector into the obs default registry and
 // writes a Prometheus text file plus a campaign health report (response
@@ -75,6 +74,7 @@
 // chrome://tracing timeline next to it (PATH with a "_trace.json" suffix).
 // Profiling never changes the collected trace (bit-identical on or off).
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -205,6 +205,23 @@ bool WriteFileOrComplain(const std::string& path,
   return true;
 }
 
+/// Upper bound of the integer flags (--retry feeds an int).
+constexpr std::int64_t kMaxCount = std::numeric_limits<std::int32_t>::max();
+
+/// Parses a count flag that must lie in [1, kMaxCount]. Anything else is
+/// refused with a message: "abc" must not silently mean the default, nor
+/// "-1" wrap to SIZE_MAX.
+bool ParseCountFlag(const char* flag, const char* value, std::size_t& out) {
+  const auto parsed = util::ParseInt64(value);
+  if (!parsed || *parsed < 1 || *parsed > kMaxCount) {
+    std::cerr << flag << " wants an integer in [1, " << kMaxCount
+              << "], got \"" << value << "\"\n";
+    return false;
+  }
+  out = static_cast<std::size_t>(*parsed);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -220,7 +237,6 @@ int main(int argc, char** argv) {
   int shards = 0;
   int scale_labs = 0;  // 0 = not passed; keep the scenario/default value
   bool stream = false;
-  bool use_pipeline = false;
   bool resume = false;
   std::string spill_dir;
   trace::SpillCodecId spill_codec = trace::kDefaultSpillCodec;
@@ -254,11 +270,18 @@ int main(int argc, char** argv) {
     } else if (const char* v = flag_value("--snapshot-dir")) {
       snapshot_dir = v;
     } else if (const char* v = flag_value("--workers")) {
-      workers = static_cast<std::size_t>(std::atoll(v));
+      if (!ParseCountFlag("--workers", v, workers)) return 1;
     } else if (const char* v = flag_value("--fault-plan")) {
       fault_plan_path = v;
     } else if (const char* v = flag_value("--retry")) {
-      retry_attempts = std::atoi(v);
+      // 0 keeps the collector's default (one attempt, no retries).
+      const auto parsed = util::ParseInt64(v);
+      if (!parsed || *parsed < 0 || *parsed > kMaxCount) {
+        std::cerr << "--retry wants an attempt count in [0, " << kMaxCount
+                  << "], got \"" << v << "\"\n";
+        return 1;
+      }
+      retry_attempts = static_cast<int>(*parsed);
     } else if (const char* v = flag_value("--shards")) {
       // 0 = auto (one per core); clamp nonsense values instead of dying —
       // the shard count cannot change the output anyway.
@@ -267,9 +290,6 @@ int main(int argc, char** argv) {
       scale_labs = std::clamp(std::atoi(v), 1, 1024);
     } else if (arg == "--stream") {
       stream = true;
-    } else if (arg == "--pipeline") {
-      use_pipeline = true;
-      stream = true;  // the pipelined engine is a streaming engine
     } else if (arg == "--resume") {
       resume = true;
     } else if (const char* v = flag_value("--spill-dir")) {
@@ -283,11 +303,18 @@ int main(int argc, char** argv) {
       }
       spill_codec = *parsed;
     } else if (const char* v = flag_value("--block-samples")) {
-      block_samples = static_cast<std::size_t>(std::atoll(v));
+      if (!ParseCountFlag("--block-samples", v, block_samples)) return 1;
     } else if (const char* v = flag_value("--ring-capacity")) {
-      ring_capacity = static_cast<std::size_t>(std::atoll(v));
+      if (!ParseCountFlag("--ring-capacity", v, ring_capacity)) return 1;
     } else if (const char* v = flag_value("--anomaly-threshold")) {
-      anomaly_threshold = std::atof(v);
+      // 0 disables the detector.
+      const auto parsed = util::ParseDouble(v);
+      if (!parsed || !std::isfinite(*parsed) || *parsed < 0.0) {
+        std::cerr << "--anomaly-threshold wants a finite |z| >= 0, got \""
+                  << v << "\"\n";
+        return 1;
+      }
+      anomaly_threshold = *parsed;
     } else if (const char* v = flag_value("--harvest-dag")) {
       // Job ids are 32-bit dependency ids, so at most 2^32-1 jobs.
       const auto parsed = util::ParseInt64(v);
@@ -479,9 +506,7 @@ int main(int argc, char** argv) {
       streaming.anomaly_writer = anomaly_writer.get();
     }
 
-    const auto streamed = use_pipeline
-                              ? core::PipelinedExperiment::Run(config, streaming)
-                              : core::StreamingExperiment::Run(config, streaming);
+    const auto streamed = core::StreamingExperiment::Run(config, streaming);
     if (!streamed.errors.empty()) {
       for (const auto& error : streamed.errors) {
         std::cerr << "streaming error: " << error << '\n';
@@ -509,20 +534,18 @@ int main(int argc, char** argv) {
     std::cout << analysis::RenderCapacity(a.capacity, {}) << '\n';
 
     std::cout << "--- streaming run summary ---\n";
-    if (use_pipeline) {
-      const auto& p = streamed.pipeline;
-      std::cout << "pipelined engine: " << p.staged_blocks
-                << " blocks staged through a ring of " << p.ring_capacity
-                << " (peak occupancy " << p.ring_peak_occupancy << ", "
-                << p.ring_push_stalls << " push / " << p.ring_pop_stalls
-                << " pop stalls), merge lag peak " << p.merge_lag_peak_blocks
-                << " blocks, arena reuse "
-                << util::FormatFixed(100.0 * p.arena_reuse_ratio, 1)
-                << "%, serial fraction "
-                << util::FormatFixed(p.serial_fraction, 3) << " ("
-                << util::FormatFixed(p.pipeline_wall_s, 3) << " s of "
-                << util::FormatFixed(p.wall_s, 3) << " s overlapped)\n";
-    }
+    const auto& p = streamed.pipeline;
+    std::cout << "pipeline: " << p.staged_blocks
+              << " blocks staged through a ring of " << p.ring_capacity
+              << " (peak occupancy " << p.ring_peak_occupancy << ", "
+              << p.ring_push_stalls << " push / " << p.ring_pop_stalls
+              << " pop stalls), merge lag peak " << p.merge_lag_peak_blocks
+              << " blocks, arena reuse "
+              << util::FormatFixed(100.0 * p.arena_reuse_ratio, 1)
+              << "%, serial fraction "
+              << util::FormatFixed(p.serial_fraction, 3) << " ("
+              << util::FormatFixed(p.pipeline_wall_s, 3) << " s of "
+              << util::FormatFixed(p.wall_s, 3) << " s overlapped)\n";
     std::cout << "iterations: " << streamed.run_stats.iterations
               << ", attempts: " << streamed.run_stats.attempts
               << ", samples: " << streamed.samples << " streamed through "
@@ -575,13 +598,9 @@ int main(int argc, char** argv) {
       const obs::prof::Report prof_report = obs::prof::Drain();
       obs::prof::Disable();
       if (!WriteFileOrComplain(prof_out, [&](std::ostream& out) {
-            if (use_pipeline) {
-              out << "{\"prof\": " << obs::prof::ReportJson(prof_report)
-                  << ",\n \"pipeline\": "
-                  << PipelineStatsJson(streamed.pipeline) << "}\n";
-            } else {
-              out << obs::prof::ReportJson(prof_report) << '\n';
-            }
+            out << "{\"prof\": " << obs::prof::ReportJson(prof_report)
+                << ",\n \"pipeline\": "
+                << PipelineStatsJson(streamed.pipeline) << "}\n";
           })) {
         return 1;
       }

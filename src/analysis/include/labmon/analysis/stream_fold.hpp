@@ -75,7 +75,7 @@ class StreamingAnalysis {
   /// Folds one merged block. Blocks must arrive in stream order.
   void Accept(const trace::TraceBlock& block);
 
-  /// Pipelined entry point: pops merged blocks off `ring` until it closes,
+  /// Streaming-engine entry point: pops merged blocks off `ring` until it closes,
   /// folding the stream hash (seed trace::kSampleStreamHashSeed) and
   /// Accept()ing each block, then handing the emptied block to `recycle`
   /// (may be null). Runs on the fold stage's thread; returns the final

@@ -57,7 +57,7 @@ struct LabShard {
 /// Contiguous greedy partition of the labs into `shards` groups balanced by
 /// machine count. Every shard gets at least one lab (shards is pre-clamped
 /// to the lab count) and every lab is covered exactly once. Shared by the
-/// materialised and pipelined engines so both attribute work to the same
+/// materialised and streaming engines so both attribute work to the same
 /// shard boundaries.
 [[nodiscard]] std::vector<LabShard> PartitionLabsByMachines(
     const winsim::Fleet& fleet, std::size_t shards);

@@ -2,23 +2,27 @@
 //
 // StreamingExperiment::Run drives the same per-lab collection slice as
 // Experiment::Run, but collection seals fixed-size, iteration-aligned
-// trace blocks as they fill instead of materialising each lab's trace:
-// blocks either stay in memory as a sealed block list or spill to disk as
-// segments in the configured spill codec (LMSG2 by default;
-// trace/segment.hpp, trace/spill_codec.hpp). The merge phase then re-streams
-// every lab through trace::StreamMergeBlocks and folds the merged blocks
-// straight into analysis::StreamingAnalysis, so the campaign's peak
-// memory is bounded by block size + per-machine analysis state — it does
-// not grow with the simulated horizon. The analysis output is
-// bit-identical to Experiment::Run + the materialised pipeline (pinned by
+// trace blocks as they fill instead of materialising each lab's trace.
+// Collection, merge and analysis fold run concurrently, coupled by
+// bounded staging rings: shard workers advance their labs in lockstep
+// windows and stage sealed blocks into a ring, a merge thread feeds them
+// to a trace::MergeFrontier that emits merged blocks as soon as an
+// iteration front is complete across all labs, and a fold thread hashes
+// the merged blocks and folds them into analysis::StreamingAnalysis. Peak
+// memory is bounded by block size, ring capacity and per-machine analysis
+// state — it does not grow with the simulated horizon. The output is
+// bit-identical to Experiment::Run + the materialised pipeline at any
+// shard count, block size, ring capacity and spill codec (pinned by
 // tests/core/test_streaming_determinism).
 //
-// With spilling enabled every finished lab is also a checkpoint: its
+// With spilling enabled every sealed block is also written to the lab's
+// segment in the configured codec (LMSG2 by default; trace/segment.hpp,
+// trace/spill_codec.hpp), and every finished lab is a checkpoint: its
 // segment plus a small sidecar (config fingerprint, per-lab run stats and
 // ground truth) written atomically after the segment is complete. A
 // killed campaign restarted with `resume = true` re-simulates only the
-// labs whose checkpoint is missing or invalid and re-streams the rest
-// from disk, reproducing the exact same result.
+// labs whose checkpoint is missing or invalid and replays the rest from
+// disk into the ring, reproducing the exact same result.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +41,7 @@ struct StreamingOptions {
   /// Sealed-block capacity for collection spill and the merged stream.
   std::size_t block_samples = trace::kDefaultBlockSamples;
   /// Spill directory for per-lab segments + checkpoint sidecars; empty
-  /// keeps sealed blocks in memory (still O(block) during the merge, but
-  /// collection holds every sealed block).
+  /// streams sealed blocks through memory only (nothing to resume from).
   std::string spill_dir;
   /// Reuse valid per-lab checkpoints found in `spill_dir` instead of
   /// re-simulating those labs (requires spilling).
@@ -56,8 +59,6 @@ struct StreamingOptions {
   /// Optional JSONL sink for anomaly records (not owned).
   obs::JsonlWriter* anomaly_writer = nullptr;
 
-  // --- PipelinedExperiment only (ignored by StreamingExperiment) ---
-
   /// Capacity of the bounded staging ring between the shard collectors and
   /// the merge stage (blocks). Small rings bound memory and apply
   /// backpressure to fast shards; output is identical at any capacity.
@@ -67,9 +68,8 @@ struct StreamingOptions {
   std::size_t merge_sort_workers = 0;
 };
 
-/// Pipeline health counters from a PipelinedExperiment run (all zero for
-/// StreamingExperiment). Mirrored into obs::DefaultRegistry gauges under
-/// labmon_pipeline_*.
+/// Pipeline health counters of a streaming run. Mirrored into
+/// obs::DefaultRegistry gauges under labmon_pipeline_*.
 struct PipelineStats {
   std::uint64_t staged_blocks = 0;      ///< blocks pushed through the ring
   std::uint64_t ring_push_stalls = 0;   ///< producer waits (ring full)
@@ -92,7 +92,7 @@ struct PipelineStats {
 
 /// Spill codec accounting for one run: the encode side sums every segment
 /// writer (shard workers compress before bytes hit disk), the decode side
-/// sums every segment read-back (the merge re-stream and resume replay).
+/// sums every segment read-back (resume replay; a fresh run decodes none).
 /// All zeros when spilling is disabled. Mirrored into obs gauges under
 /// labmon_spill_*.
 struct SpillCompressionStats {
@@ -152,7 +152,7 @@ struct StreamingExperimentResult {
   std::size_t labs_resumed = 0;
   /// Per-lab spill/merge IO failures (empty on a clean run).
   std::vector<std::string> errors;
-  /// Pipeline health (PipelinedExperiment only; zeros otherwise).
+  /// Pipeline health.
   PipelineStats pipeline;
   /// Spill codec accounting (zeros when spilling is disabled).
   SpillCompressionStats spill;
@@ -162,35 +162,14 @@ class StreamingExperiment {
  public:
   /// Runs collection + merge + incremental analysis end to end
   /// (deterministic for a given config; independent of shard count,
-  /// block size and spill mode).
+  /// block size, ring capacity and spill mode). Errors are reported in
+  /// `errors`, with the analysis left empty.
   [[nodiscard]] static StreamingExperimentResult Run(
       const ExperimentConfig& config, const StreamingOptions& options = {});
 };
 
-/// Pipelined campaign engine: the three streaming stages — per-shard
-/// collection, iteration-front merge, analysis fold — run concurrently,
-/// coupled by bounded staging rings, instead of strictly in sequence.
-///
-/// Shard workers advance their labs in lockstep windows of a fixed number
-/// of collection periods and seal iteration-aligned blocks into a bounded
-/// MPSC staging ring at every window boundary. A
-/// dedicated merge thread drains the ring into a trace::MergeFrontier,
-/// which emits merged blocks the moment an iteration front is complete
-/// across all labs — it never waits for any lab to finish its campaign.
-/// Merged blocks flow through a second ring into the
-/// analysis::StreamingAnalysis fold running on its own thread. Block
-/// buffers recycle backwards through the rings (per-shard pools feed the
-/// collectors; the fold returns merged blocks to the emitter), so the
-/// steady state allocates nothing on the merge path.
-///
-/// The result is bit-identical to StreamingExperiment::Run (stream hash,
-/// run stats, all analyses) at any shard count, block size or ring
-/// capacity, and checkpoints interoperate with streaming spill dirs in
-/// both directions (pinned by tests/core/test_pipelined_determinism).
-class PipelinedExperiment {
- public:
-  [[nodiscard]] static StreamingExperimentResult Run(
-      const ExperimentConfig& config, const StreamingOptions& options = {});
-};
+/// The former name of the streaming engine. labbench/ calls both names and
+/// is frozen as the repository benchmark, so the alias stays.
+using PipelinedExperiment = StreamingExperiment;
 
 }  // namespace labmon::core

@@ -207,7 +207,7 @@ void BlockSealer::Seal() {
       error_ = appended.error();
     }
   }
-  if (publish_) publish_(store_);
+  publish_(store_);
   ++blocks_sealed_;
   store_.ClearSamples();
 }

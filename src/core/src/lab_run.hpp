@@ -1,15 +1,15 @@
-// The per-lab collection slice shared by all three campaign engines
+// The per-lab collection slice shared by both campaign engines
 // (core/src only — not part of the installed API).
 //
 // The paper's DDC runs one unit of work per lab: probe every machine of the
 // lab each collection period. LabRun is that unit — behaviour driver,
 // probe, fault injector and coordinator, with the lab's collector and fault
 // seeds derived here and nowhere else — collecting into any
-// ddc::SampleSink. Experiment::Run feeds it a plain TraceStoreSink; the two
-// block-sealing engines (streaming, pipelined) feed it a BlockSealer and
-// keep their run-wide spill/checkpoint state in a SealingRun. The result
-// helpers below assemble the totals every engine reports, so all three
-// stay bit-identical by construction.
+// ddc::SampleSink. Experiment::Run feeds it a plain TraceStoreSink; the
+// streaming engine feeds it a BlockSealer and keeps its run-wide
+// spill/checkpoint state in a SealingRun. The result helpers below
+// assemble the totals both engines report, so they stay bit-identical by
+// construction.
 #pragma once
 
 #include <cstdio>
@@ -96,7 +96,7 @@ class LabRun {
   ddc::Coordinator coordinator_;
 };
 
-/// Sink of the block-sealing engines: samples append to a small working
+/// Sink of the streaming engine: samples append to a small working
 /// store, and whenever an iteration completes with the store at or past
 /// the block budget — or on SealPending() — the store is sealed: appended
 /// to the lab's segment (when spilling), handed to the publish callback,
@@ -226,7 +226,7 @@ void FillFleetSummaries(Result& result, const winsim::Fleet& fleet) {
   }
 }
 
-/// Run-wide state of the two block-sealing engines: the campaign, the
+/// Run-wide state of the streaming engine: the campaign, the
 /// result under construction, the analysis fold, the per-lab checkpoints
 /// (restored on resume, filled as live labs commit) and the thread-safe
 /// error and spill accounting.
@@ -271,7 +271,7 @@ class SealingRun {
   std::mutex spill_mutex_;
 };
 
-/// One live lab of a block-sealing engine: its sealer (writing the lab's
+/// One live lab of the streaming engine: its sealer (writing the lab's
 /// segment when the run spills) and the collector feeding it. Never moved.
 struct SealedLab {
   SealedLab(SealingRun& run, std::size_t lab, std::size_t reserve,

@@ -176,7 +176,7 @@ class Coordinator {
   /// Begin(start); StepUntil(end); Finish().
   RunStats Run(util::SimTime start, util::SimTime end);
 
-  /// Incremental windowed driving — the pipelined engine advances every
+  /// Incremental windowed driving — the streaming engine advances every
   /// lab in lockstep time windows so sealed blocks stream out while later
   /// windows are still simulating. The sweep/boundary sequence (and thus
   /// every probe, retry and fault draw) is bit-identical to one Run(start,

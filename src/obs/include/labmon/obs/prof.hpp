@@ -59,8 +59,8 @@ enum class Phase : std::uint8_t {
   kAnalysis,        ///< derived trace + analysis pipeline
   kSnapshot,        ///< snapshot cache load/store
   kExport,          ///< report/CSV/exporter output
-  kStage,           ///< pipelined engine: block sealing + ring transfer/waits
-  kFold,            ///< pipelined engine: streaming-analysis fold stage
+  kStage,           ///< streaming engine: block sealing + ring transfer/waits
+  kFold,            ///< streaming engine: streaming-analysis fold stage
   kOther,
 };
 inline constexpr std::size_t kPhaseCount = 11;

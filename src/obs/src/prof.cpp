@@ -470,22 +470,36 @@ std::string ReportJson(const Report& report) {
 
 namespace {
 
-inline void* ProfAlloc(std::size_t size) {
+/// Null when out of memory.
+inline void* TryProfAlloc(std::size_t size) noexcept {
   void* p = std::malloc(size != 0 ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
+  if (p == nullptr) return nullptr;
   labmon::obs::prof::t_alloc_bytes += size;
   ++labmon::obs::prof::t_alloc_count;
   return p;
 }
 
-inline void* ProfAllocAligned(std::size_t size, std::size_t align) {
+inline void* TryProfAllocAligned(std::size_t size,
+                                 std::size_t align) noexcept {
   void* p = nullptr;
   if (posix_memalign(&p, std::max(align, sizeof(void*)),
                      size != 0 ? size : 1) != 0) {
-    throw std::bad_alloc();
+    return nullptr;
   }
   labmon::obs::prof::t_alloc_bytes += size;
   ++labmon::obs::prof::t_alloc_count;
+  return p;
+}
+
+inline void* ProfAlloc(std::size_t size) {
+  void* p = TryProfAlloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+inline void* ProfAllocAligned(std::size_t size, std::size_t align) {
+  void* p = TryProfAllocAligned(size, align);
+  if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 
@@ -499,6 +513,23 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ProfAllocAligned(size, static_cast<std::size_t>(align));
 }
+// The nothrow forms (std::stable_sort's temporary buffer uses one) must
+// allocate with malloc too: every delete below frees with std::free, and a
+// sanitizer runtime's own nothrow new would not match it.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return TryProfAlloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return TryProfAlloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return TryProfAllocAligned(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return TryProfAllocAligned(size, static_cast<std::size_t>(align));
+}
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
@@ -510,5 +541,17 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
   std::free(p);
 }

@@ -1,16 +1,16 @@
 // MergeFrontier — the incremental, push-model core of the streaming merge.
 //
 // StreamMergeBlocks (stream_merge.hpp) pulls blocks from readers; the
-// pipelined engine instead *pushes* blocks as labs seal them, out of lab
+// streaming engine instead *pushes* blocks as labs seal them, out of lab
 // order, and wants merged output as soon as an iteration front is ready —
 // an iteration front is complete when every live part has either buffered
 // content covering that iteration or finished its stream. MergeFrontier
 // is that state machine: Append()/FinishPart() feed it, Advance() merges
 // every ready front (replaying MergeTraces' exact order: per global
 // iteration, gather all parts' samples, sort by (t, machine), append) and
-// emits sealed merged blocks. Both StreamMergeBlocks and the pipelined
-// driver are built on it, so the merged sample sequence is bit-identical
-// across all three engines by construction.
+// emits sealed merged blocks. Both StreamMergeBlocks and the streaming
+// engine are built on it, so the merged sample sequence is bit-identical
+// to MergeTraces' by construction.
 //
 // Ready fronts are gathered in batches; when more than one front is ready
 // (the staging ring backed up while the merge was busy) the per-front key
@@ -20,7 +20,7 @@
 // — is identical however the sorting is scheduled.
 //
 // Buffered blocks are either owned (heap TraceBlocks, handed back through
-// the recycle callback once fully consumed — the pipelined engine returns
+// the recycle callback once fully consumed — the streaming engine returns
 // them to per-shard pools) or borrowed views (the pull model's reader
 // scratch, valid until the caller invalidates it after Advance returns).
 #pragma once

@@ -1,5 +1,5 @@
 // Bounded MPSC staging ring + block recycling pool — the plumbing of the
-// pipelined execution engine.
+// streaming campaign engine.
 //
 // StagingRing<T> is a fixed-capacity FIFO with condition-variable parking
 // on both ends: producers block in Push() while the ring is full
@@ -8,7 +8,7 @@
 // empty. Close() ends the stream gracefully (pending items remain
 // poppable), Cancel() aborts it (pending items are dropped and every
 // parked thread wakes with `false`). Per-ring counters record occupancy
-// peaks and stall time on both ends; the pipelined driver exports them
+// peaks and stall time on both ends; the streaming engine exports them
 // through obs::Registry. Like the rest of util, the ring itself carries
 // no observability dependencies.
 //

@@ -1,7 +1,7 @@
 // The golden references shared by the engine determinism suites: the
 // materialised engine's 2-day paper run, its sample-stream hash and its
-// analysis fold, plus the bit-identity checks every streamed or pipelined
-// run is held to.
+// analysis fold, plus the bit-identity checks every streamed run is held
+// to.
 #pragma once
 
 #include <cstdint>
@@ -33,37 +33,40 @@ inline const core::ExperimentResult& Materialised() {
   return result;
 }
 
-inline std::uint64_t MaterialisedHash() {
-  trace::StoreReader reader(Materialised().trace);
+/// The sample-stream hash of a materialised trace.
+inline std::uint64_t StoreHash(const trace::TraceStore& store) {
+  trace::StoreReader reader(store);
   return trace::HashSampleStream(reader);
 }
 
-/// The fold over the materialised trace — pinned bit-identical to the
-/// chunked AnalysisPipeline by test_stream_fold.
+inline std::uint64_t MaterialisedHash() {
+  return StoreHash(Materialised().trace);
+}
+
+/// The streaming fold over a materialised run's trace — the fold is pinned
+/// bit-identical to the chunked AnalysisPipeline by test_stream_fold.
+inline analysis::StreamingAnalysisResult FoldMaterialised(
+    const core::ExperimentResult& run) {
+  analysis::StreamingAnalysisConfig config;
+  config.machine_count = run.trace.machine_count();
+  config.perf_index = run.perf_index;
+  std::size_t first = 0;
+  for (const auto& lab : run.labs) {
+    config.labs.push_back(analysis::LabKey{lab.name, first, lab.machine_count});
+    first += lab.machine_count;
+  }
+  config.experiment_days = run.days;
+  analysis::StreamingAnalysis fold(std::move(config));
+  trace::StoreReader reader(run.trace);
+  while (const trace::TraceBlock* block = reader.Next()) fold.Accept(*block);
+  trace::TraceStore summary(run.trace.machine_count());
+  for (const auto& info : run.trace.iterations()) summary.AppendIteration(info);
+  return fold.Finish(summary);
+}
+
 inline const analysis::StreamingAnalysisResult& MaterialisedAnalysis() {
-  static const analysis::StreamingAnalysisResult result = [] {
-    const core::ExperimentResult& golden = Materialised();
-    analysis::StreamingAnalysisConfig config;
-    config.machine_count = golden.trace.machine_count();
-    config.perf_index = golden.perf_index;
-    std::size_t first = 0;
-    for (const auto& lab : golden.labs) {
-      config.labs.push_back(
-          analysis::LabKey{lab.name, first, lab.machine_count});
-      first += lab.machine_count;
-    }
-    config.experiment_days = golden.days;
-    analysis::StreamingAnalysis fold(std::move(config));
-    trace::StoreReader reader(golden.trace);
-    while (const trace::TraceBlock* block = reader.Next()) {
-      fold.Accept(*block);
-    }
-    trace::TraceStore summary(golden.trace.machine_count());
-    for (const auto& info : golden.trace.iterations()) {
-      summary.AppendIteration(info);
-    }
-    return fold.Finish(summary);
-  }();
+  static const analysis::StreamingAnalysisResult result =
+      FoldMaterialised(Materialised());
   return result;
 }
 

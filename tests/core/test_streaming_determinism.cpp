@@ -1,9 +1,12 @@
 // Streaming-engine determinism suite — the streamed campaign's contract:
-// collection through sealed blocks (in memory or spilled to disk),
-// StreamMergeBlocks and the incremental analysis fold must reproduce the
-// materialised engine bit-for-bit, for any worker count and block size,
-// and a campaign killed mid-run must resume from its per-lab checkpoints
-// to the exact same result.
+// lockstep windowed collection through sealed blocks (in memory or spilled
+// to disk), the staging-ring merge and the threaded analysis fold must
+// reproduce the materialised engine bit-for-bit for any shard count, block
+// size and ring capacity (including the degenerate capacity-1 ring, which
+// forces constant backpressure); a campaign killed mid-run must resume
+// from its per-lab checkpoints to the exact same result, under either
+// spill codec; and a failing lab must abort the pipeline promptly instead
+// of deadlocking a parked stage.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -22,9 +25,13 @@
 namespace labmon {
 namespace {
 
+using core::testing::ExpectAnalysisIdentical;
 using core::testing::ExpectRunIdentical;
+using core::testing::ExpectTotalsIdentical;
+using core::testing::FoldMaterialised;
 using core::testing::GoldenConfig;
 using core::testing::MaterialisedHash;
+using core::testing::StoreHash;
 
 TEST(StreamingDeterminismTest, InMemoryMatchesMaterialisedEngine) {
   core::StreamingOptions options;
@@ -33,12 +40,54 @@ TEST(StreamingDeterminismTest, InMemoryMatchesMaterialisedEngine) {
   ExpectRunIdentical(streamed);
 }
 
-TEST(StreamingDeterminismTest, WorkerCountAndBlockSizeAreInvisible) {
-  core::StreamingOptions options;
-  options.block_samples = 4096;  // force many sealed blocks
-  const auto streamed =
-      core::StreamingExperiment::Run(GoldenConfig(8), options);
-  ExpectRunIdentical(streamed);
+TEST(StreamingDeterminismTest, ShardBlockAndRingAreInvisible) {
+  struct Case {
+    int shards;
+    std::size_t block_samples;
+    std::size_t ring_capacity;
+  };
+  // Representative corners of the {shards} x {block} x {ring} matrix,
+  // including tiny blocks (merged block per sample) and the capacity-1
+  // ring under many shards (constant backpressure, labs completing out of
+  // order).
+  const Case cases[] = {
+      {2, 97, 4},
+      {8, 1, 1},
+      {4, 65536, 64},
+      {8, 4096, 64},
+      {8, 4096, 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("shards=" + std::to_string(c.shards) +
+                 " block=" + std::to_string(c.block_samples) +
+                 " ring=" + std::to_string(c.ring_capacity));
+    core::StreamingOptions options;
+    options.block_samples = c.block_samples;
+    options.ring_capacity = c.ring_capacity;
+    const auto streamed =
+        core::StreamingExperiment::Run(GoldenConfig(c.shards), options);
+    ExpectRunIdentical(streamed);
+  }
+}
+
+TEST(StreamingDeterminismTest, ReportsPipelineHealth) {
+  const std::string dir = ::testing::TempDir() + "/labmon_stream_health";
+  std::filesystem::remove_all(dir);
+  for (const std::string& spill_dir : {std::string(), dir}) {
+    SCOPED_TRACE(spill_dir.empty() ? "in-memory" : "spilled");
+    core::StreamingOptions options;
+    options.spill_dir = spill_dir;
+    options.block_samples = 4096;
+    options.ring_capacity = 8;
+    const auto streamed =
+        core::StreamingExperiment::Run(GoldenConfig(2), options);
+    ASSERT_TRUE(streamed.errors.empty());
+    const core::PipelineStats& pipe = streamed.pipeline;
+    EXPECT_GT(pipe.staged_blocks, 0u);
+    EXPECT_EQ(pipe.ring_capacity, options.ring_capacity);
+    EXPECT_LE(pipe.ring_peak_occupancy, pipe.ring_capacity);
+    EXPECT_LE(pipe.pipeline_wall_s, pipe.wall_s);
+  }
 }
 
 TEST(StreamingDeterminismTest, SpilledRunMatchesAndCheckpoints) {
@@ -47,6 +96,7 @@ TEST(StreamingDeterminismTest, SpilledRunMatchesAndCheckpoints) {
   core::StreamingOptions options;
   options.spill_dir = dir;
   options.block_samples = 4096;
+  options.ring_capacity = 4;
   const auto streamed =
       core::StreamingExperiment::Run(GoldenConfig(2), options);
   ExpectRunIdentical(streamed);
@@ -133,50 +183,80 @@ TEST(StreamingDeterminismTest, ResumeAfterSimulatedCrashReproduces) {
     std::filesystem::remove(dir + "/lab0001.ck");
   }
 
+  // The survivors replay through a small ring concurrently with the
+  // re-simulated labs.
   core::StreamingOptions resume_options = options;
   resume_options.resume = true;
+  resume_options.ring_capacity = 2;
   const auto resumed =
       core::StreamingExperiment::Run(GoldenConfig(2), resume_options);
   EXPECT_EQ(resumed.labs_resumed, lab_count - 2);
   ExpectRunIdentical(resumed);
   EXPECT_EQ(resumed.stream_hash, first.stream_hash);
+
+  // A checkpoint written by a resumed run resumes again: lose one more
+  // lab of the now-mixed spill dir.
+  std::filesystem::remove(dir + "/lab0001.ck");
+  const auto again =
+      core::StreamingExperiment::Run(GoldenConfig(2), resume_options);
+  EXPECT_EQ(again.labs_resumed, lab_count - 1);
+  ExpectRunIdentical(again);
 }
 
 TEST(StreamingDeterminismTest, CrossCodecResumeIsBitIdenticalBothWays) {
-  for (const auto& [first_codec, second_codec] :
-       {std::pair{trace::SpillCodecId::kLmsg1, trace::SpillCodecId::kLmsg2},
-        std::pair{trace::SpillCodecId::kLmsg2,
-                  trace::SpillCodecId::kLmsg1}}) {
-    const std::string dir = ::testing::TempDir() +
-                            "/labmon_stream_cross_codec_" +
-                            std::string(trace::SpillCodecName(first_codec));
-    std::filesystem::remove_all(dir);
-    core::StreamingOptions options;
-    options.spill_dir = dir;
-    options.block_samples = 4096;
-    options.spill_codec = first_codec;
-    const auto first =
-        core::StreamingExperiment::Run(GoldenConfig(2), options);
-    ASSERT_TRUE(first.errors.empty());
-    const std::size_t lab_count = first.labs.size();
-    ASSERT_GE(lab_count, 2u);
+  // A campaign written under one spill codec resumes under the other:
+  // re-simulated labs spill in the new format, survivors replay from the
+  // old one, and the merged stream is bit-identical either way.
+  const std::string dir = ::testing::TempDir() + "/labmon_stream_codec";
+  std::filesystem::remove_all(dir);
+  core::StreamingOptions options;
+  options.spill_dir = dir;
+  options.block_samples = 4096;
+  options.spill_codec = trace::SpillCodecId::kLmsg1;
+  const auto first = core::StreamingExperiment::Run(GoldenConfig(2), options);
+  ASSERT_TRUE(first.errors.empty());
+  const std::size_t lab_count = first.labs.size();
+  ASSERT_GE(lab_count, 2u);
+  EXPECT_EQ(first.spill.codec, "lmsg1");
+  EXPECT_EQ(first.spill.samples_encoded, first.samples);
 
-    // Drop two labs' checkpoints and resume under the other codec: the
-    // re-simulated labs spill in the new format while the survivors
-    // stream from segments written in the old one — the merged stream
-    // must not notice.
-    std::filesystem::remove(dir + "/lab0000.ck");
-    std::filesystem::remove(dir + "/lab0001.ck");
-    core::StreamingOptions resume_options = options;
-    resume_options.resume = true;
-    resume_options.spill_codec = second_codec;
-    const auto resumed =
-        core::StreamingExperiment::Run(GoldenConfig(2), resume_options);
-    EXPECT_EQ(resumed.labs_resumed, lab_count - 2);
-    ExpectRunIdentical(resumed);
-    EXPECT_EQ(resumed.stream_hash, first.stream_hash);
-    EXPECT_EQ(resumed.spill.codec, trace::SpillCodecName(second_codec));
-  }
+  std::filesystem::remove(dir + "/lab0000.ck");
+  std::filesystem::remove(dir + "/lab0001.ck");
+  core::StreamingOptions resume_options = options;
+  resume_options.resume = true;
+  resume_options.spill_codec = trace::SpillCodecId::kLmsg2;
+  const auto second =
+      core::StreamingExperiment::Run(GoldenConfig(2), resume_options);
+  EXPECT_EQ(second.labs_resumed, lab_count - 2);
+  ExpectRunIdentical(second);
+  EXPECT_EQ(second.stream_hash, first.stream_hash);
+  EXPECT_EQ(second.spill.codec, "lmsg2");
+
+  // Reverse direction over the now-mixed directory: lose an LMSG2 lab's
+  // checkpoint and resume requesting LMSG1 again.
+  std::filesystem::remove(dir + "/lab0000.ck");
+  resume_options.spill_codec = trace::SpillCodecId::kLmsg1;
+  const auto third =
+      core::StreamingExperiment::Run(GoldenConfig(2), resume_options);
+  EXPECT_EQ(third.labs_resumed, lab_count - 1);
+  ExpectRunIdentical(third);
+  EXPECT_EQ(third.stream_hash, first.stream_hash);
+}
+
+TEST(StreamingDeterminismTest, AllLabsResumedSkipsSimulation) {
+  const std::string dir = ::testing::TempDir() + "/labmon_stream_all_resumed";
+  std::filesystem::remove_all(dir);
+  core::StreamingOptions options;
+  options.spill_dir = dir;
+  options.block_samples = 4096;
+  const auto first = core::StreamingExperiment::Run(GoldenConfig(2), options);
+  ASSERT_TRUE(first.errors.empty());
+  core::StreamingOptions resume_options = options;
+  resume_options.resume = true;
+  const auto second =
+      core::StreamingExperiment::Run(GoldenConfig(2), resume_options);
+  EXPECT_EQ(second.labs_resumed, first.labs.size());
+  ExpectRunIdentical(second);
 }
 
 TEST(StreamingDeterminismTest, SpillStatsAccountForEveryBlockAndCompress) {
@@ -191,15 +271,33 @@ TEST(StreamingDeterminismTest, SpillStatsAccountForEveryBlockAndCompress) {
   const core::SpillCompressionStats& spill = streamed.spill;
   EXPECT_EQ(spill.codec, trace::SpillCodecName(trace::kDefaultSpillCodec));
   EXPECT_EQ(spill.segments, streamed.labs.size());
-  // Every sample is encoded exactly once by collection and decoded exactly
-  // once by the merge re-stream.
+  // Every sample is encoded exactly once by collection; a fresh run merges
+  // the blocks it staged and never reads its own segments back.
   EXPECT_EQ(spill.samples_encoded, streamed.samples);
-  EXPECT_EQ(spill.samples_decoded, streamed.samples);
-  EXPECT_EQ(spill.blocks_encoded, spill.blocks_decoded);
+  EXPECT_EQ(spill.samples_decoded, 0u);
+  EXPECT_EQ(spill.blocks_decoded, 0u);
   EXPECT_GT(spill.payload_bytes_encoded, 0u);
   EXPECT_GE(spill.segment_bytes, spill.payload_bytes_encoded);
-  // The tentpole claim: fleet-like streams compress ≥3× under LMSG2.
+  // Fleet-like streams compress ≥3× under LMSG2.
   EXPECT_GT(spill.CompressionRatio(), 3.0);
+
+  // A resumed run decodes exactly its resumed labs' samples and blocks:
+  // together with the re-simulated labs' encoding they cover the stream.
+  std::filesystem::remove(dir + "/lab0000.ck");
+  std::filesystem::remove(dir + "/lab0001.ck");
+  core::StreamingOptions resume_options = options;
+  resume_options.resume = true;
+  const auto resumed =
+      core::StreamingExperiment::Run(GoldenConfig(2), resume_options);
+  ASSERT_TRUE(resumed.errors.empty());
+  ASSERT_EQ(resumed.labs_resumed, streamed.labs.size() - 2);
+  const core::SpillCompressionStats& again = resumed.spill;
+  EXPECT_EQ(again.segments, 2u);
+  EXPECT_GT(again.samples_encoded, 0u);
+  EXPECT_GT(again.samples_decoded, 0u);
+  EXPECT_EQ(again.samples_encoded + again.samples_decoded, streamed.samples);
+  EXPECT_EQ(again.blocks_encoded + again.blocks_decoded,
+            spill.blocks_encoded);
 }
 
 TEST(StreamingDeterminismTest, AnomalyDetectorObservesWholeStream) {
@@ -214,6 +312,56 @@ TEST(StreamingDeterminismTest, AnomalyDetectorObservesWholeStream) {
   EXPECT_LT(streamed.anomaly_observations, 2 * streamed.samples);
   // Determinism must not depend on the detector being attached.
   EXPECT_EQ(streamed.stream_hash, MaterialisedHash());
+}
+
+TEST(StreamingDeterminismTest, FaultedRunMatchesMaterialisedEngine) {
+  // Under an active fault scenario the output differs from the clean
+  // golden, but the streamed run must still agree bit-for-bit with the
+  // materialised engine on the same faulted config, at any shard count.
+  core::ExperimentConfig config = GoldenConfig(4);
+  config.fault_plan.enabled = true;
+  config.fault_plan.stochastic.transient_error_prob = 0.01;
+  config.fault_plan.stochastic.wire_corruption_prob = 0.005;
+  config.fault_plan.stochastic.straggler_prob = 0.01;
+
+  core::StreamingOptions options;
+  options.block_samples = 2048;
+  options.ring_capacity = 4;
+  const auto streamed = core::StreamingExperiment::Run(config, options);
+  ASSERT_TRUE(streamed.errors.empty());
+  EXPECT_GT(streamed.run_stats.faults_injected, 0u);
+
+  // Both engines assemble the campaign totals from the same per-lab
+  // tally, so they must agree on every field.
+  for (const int shards : {1, 3}) {
+    SCOPED_TRACE("materialised shards=" + std::to_string(shards));
+    core::ExperimentConfig materialised_config = config;
+    materialised_config.shards = shards;
+    const auto materialised = core::Experiment::Run(materialised_config);
+    EXPECT_EQ(streamed.samples, materialised.trace.size());
+    EXPECT_EQ(streamed.stream_hash, StoreHash(materialised.trace));
+    ExpectTotalsIdentical(materialised, streamed);
+    ExpectAnalysisIdentical(streamed.analysis, FoldMaterialised(materialised));
+  }
+}
+
+TEST(StreamingDeterminismTest, FailingLabAbortsWithoutDeadlock) {
+  // Sabotage one lab's segment path with a directory so SegmentWriter::Open
+  // fails inside the first window. The run must drain the pipeline, cancel
+  // the rings and return with errors — parked stages must not deadlock
+  // (the test would time out if they did). A tiny ring maximises the
+  // chance other producers are parked on it when the error fires.
+  const std::string dir = ::testing::TempDir() + "/labmon_stream_fail";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir + "/lab0000.lmsg");
+  core::StreamingOptions options;
+  options.spill_dir = dir;
+  options.block_samples = 256;
+  options.ring_capacity = 1;
+  const auto streamed =
+      core::StreamingExperiment::Run(GoldenConfig(4), options);
+  ASSERT_FALSE(streamed.errors.empty());
+  EXPECT_EQ(streamed.samples, 0u);
 }
 
 }  // namespace

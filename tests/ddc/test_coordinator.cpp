@@ -105,7 +105,7 @@ TEST(CoordinatorTest, OverrunDelaysNextIteration) {
 TEST(CoordinatorTest, WindowedStepsMatchOneRun) {
   // Begin/StepUntil/Finish over any ascending window partition replays the
   // exact probe, retry and iteration sequence of one Run() call — the
-  // pipelined engine's lockstep windows rely on it.
+  // streaming engine's lockstep windows rely on it.
   for (const bool aligned : {false, true}) {
     for (const util::SimTime window : {1, 60, 150, 1000}) {
       SCOPED_TRACE("aligned=" + std::to_string(aligned) +

@@ -3,7 +3,7 @@
 // the same part streams, regardless of the order parts' blocks arrive,
 // the order parts finish, whether blocks are owned or borrowed views,
 // and how many sort workers batch the ready fronts. These invariances
-// are what make the pipelined engine's output independent of thread
+// are what make the streaming engine's output independent of thread
 // scheduling.
 #include "labmon/trace/merge_frontier.hpp"
 

@@ -1,6 +1,6 @@
 // StagingRing + RecyclingPool unit tests — FIFO order, capacity-1
 // backpressure, multi-producer ordering, Close/Cancel semantics (the
-// pipelined engine's no-deadlock guarantees hang off these), stall
+// streaming engine's no-deadlock guarantees hang off these), stall
 // accounting and pool reuse stats.
 #include "labmon/util/staging_ring.hpp"
 
@@ -155,7 +155,7 @@ TEST(RecyclingPoolTest, ReusesReleasedObjectsAndCountsRatio) {
 }
 
 TEST(RecyclingPoolTest, NullUniquePtrSignalsAllocationFallback) {
-  // The pipelined engine pools unique_ptr<TraceBlock>: an empty pool hands
+  // The streaming engine pools unique_ptr<TraceBlock>: an empty pool hands
   // back a null pointer, which the caller replaces with a fresh heap block.
   RecyclingPool<std::unique_ptr<int>> pool;
   std::unique_ptr<int> missing = pool.Acquire();

@@ -604,12 +604,10 @@ void BM_IncrementalMergeFront(benchmark::State& state) {
   const auto parts = MergeBenchParts(/*parts=*/4, /*machines_per_part=*/4,
                                      /*iterations=*/64,
                                      /*samples_per_machine=*/24);
-  const std::size_t machine_count = 16;
   const std::size_t sort_workers = static_cast<std::size_t>(state.range(0));
   std::int64_t merged_samples = 0;
   for (auto _ : state) {
-    trace::MergeFrontier frontier(parts.size(), machine_count,
-                                  /*block_samples=*/8192);
+    trace::MergeFrontier frontier(parts.size(), /*block_samples=*/8192);
     for (std::size_t p = 0; p < parts.size(); ++p) {
       for (const trace::TraceBlock& block : parts[p]) {
         frontier.AppendView(p, &block);

@@ -1,7 +1,10 @@
 // Experiment — the one-call public API reproducing the study end to end:
 // build the 169-machine fleet, drive it with the behavioural model, run the
 // DDC coordinator for 77 simulated days, and return the collected trace
-// ready for analysis.
+// ready for analysis. Run() shares its run loop with StreamingExperiment
+// (shard threads in lockstep windows, one merge thread) and keeps the
+// merged stream — one merged block, gathered straight into the returned
+// trace — instead of folding it.
 //
 //   labmon::core::ExperimentConfig config;       // paper defaults
 //   auto result = labmon::core::Experiment::Run(config);
@@ -39,9 +42,9 @@ struct ExperimentConfig {
   /// snapshot fingerprint.
   bool structured_fast_path = true;
   /// Simulation shards (real threads). The fleet is partitioned by lab into
-  /// contiguous shards balanced by machine count; each shard runs its labs'
-  /// drivers, coordinators and fault injectors to completion and the
-  /// per-lab traces are merged deterministically. Output-invariant: every
+  /// contiguous shards balanced by machine count; each shard steps its
+  /// labs' drivers, coordinators and fault injectors window by window and
+  /// their blocks are merged deterministically. Output-invariant: every
   /// shard count produces a bit-identical result (pinned by
   /// test_sharded_determinism), so this is excluded from the snapshot
   /// fingerprint. 0 = one shard per hardware thread (capped at lab count).

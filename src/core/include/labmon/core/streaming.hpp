@@ -1,16 +1,15 @@
 // Streaming campaign engine — the full experiment in O(block) memory.
 //
-// StreamingExperiment::Run drives the same per-lab collection slice as
-// Experiment::Run, but collection seals fixed-size, iteration-aligned
-// trace blocks as they fill instead of materialising each lab's trace.
-// Collection, merge and analysis fold run concurrently, coupled by
-// bounded staging rings: shard workers advance their labs in lockstep
-// windows and stage sealed blocks into a ring, a merge thread feeds them
-// to a trace::MergeFrontier that emits merged blocks as soon as an
-// iteration front is complete across all labs, and a fold thread hashes
-// the merged blocks and folds them into analysis::StreamingAnalysis. Peak
-// memory is bounded by block size, ring capacity and per-machine analysis
-// state — it does not grow with the simulated horizon. The output is
+// StreamingExperiment::Run runs the same campaign loop as Experiment::Run
+// and differs only in what consumes the merged blocks: it folds them
+// instead of materialising the trace. Collection, merge and analysis fold
+// run concurrently, coupled by bounded staging rings: shard threads
+// advance their labs in lockstep windows and stage sealed blocks into a
+// ring, a merge thread feeds them to a trace::MergeFrontier that emits
+// merged blocks as soon as an iteration front is complete across all
+// labs, and a fold thread hashes the merged blocks and folds them into
+// analysis::StreamingAnalysis. Peak memory is bounded by block size, ring
+// capacity and per-machine analysis state. The output is
 // bit-identical to Experiment::Run + the materialised pipeline at any
 // shard count, block size, ring capacity and spill codec (pinned by
 // tests/core/test_streaming_determinism).
@@ -22,7 +21,9 @@
 // ground truth) written atomically after the segment is complete. A
 // killed campaign restarted with `resume = true` re-simulates only the
 // labs whose checkpoint is missing or invalid and replays the rest from
-// disk into the ring, reproducing the exact same result.
+// disk into the ring, reproducing the exact same result. Experiment::Run
+// takes the default block_samples, longer windows and a ring of two
+// windows' blocks (it keeps the whole trace anyway) and never spills.
 #pragma once
 
 #include <cstdint>

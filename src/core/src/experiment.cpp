@@ -2,16 +2,17 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "labmon/core/snapshot.hpp"
+#include "labmon/core/streaming.hpp"
 #include "labmon/obs/prof.hpp"
 #include "labmon/obs/registry.hpp"
 #include "labmon/obs/span.hpp"
-#include "labmon/trace/merge.hpp"
-#include "labmon/trace/sink.hpp"
 #include "labmon/util/log.hpp"
-#include "labmon/util/parallel.hpp"
 #include "lab_run.hpp"
 
 namespace labmon::core {
@@ -73,11 +74,10 @@ std::size_t ReservePerMachine(const workload::CampusConfig& campus) {
          1;
 }
 
-/// What one shard produces; merged on the main thread afterwards.
-struct ShardOutput {
-  detail::LabTally tally;  ///< summed over the shard's labs
-  double wall_s = 0.0;     ///< real time the shard's thread spent
-};
+/// Lockstep window of the in-memory run (~2.7 days at the 15-min period).
+/// Each window costs a barrier round that waits for the last-preempted
+/// shard; the trace is kept whole anyway, so few long windows beat many.
+constexpr std::size_t kWindowIterations = 256;
 
 }  // namespace
 
@@ -89,92 +89,40 @@ ExperimentResult Experiment::Run(const ExperimentConfig& config) {
   obs::Span run_span("experiment.run");
   run_span.SetSimRange(0, config.campus.EndTime());
   const auto run_t0 = std::chrono::steady_clock::now();
-  // Campus-global fleet and behavioural context, built once and shared by
-  // every shard (the profile's draws come from dedicated substreams).
-  detail::Campaign campaign(config);
-  const winsim::Fleet& fleet = campaign.fleet;
-  const std::vector<LabShard> shards = PartitionLabsByMachines(
-      fleet, detail::ClampWorkers(config.shards, fleet.lab_count()));
-
+  // Default block size; no spill dir, so no resume.
+  StreamingOptions options;
+  options.merge_sort_workers = 1;  // no sort threads beside the shards'
+  detail::CampaignRun run(config, options);
+  const winsim::Fleet& fleet = run.campaign.fleet;
+  // The whole trace is kept anyway, so the collect ring need not bound
+  // memory: two lockstep windows of blocks (about one per lab each) let a
+  // shard run on while the merge drains the last window. (`run` holds
+  // `options` by reference.)
+  options.ring_capacity =
+      std::max(options.ring_capacity, 2 * fleet.lab_count());
+  // The trace is one merged block: the frontier gathers straight into the
+  // reserved columns, and its user table, filled in first-appearance
+  // order, is the reference merge's (trace/merge.hpp), so the adopted
+  // store is byte-identical to merging per-lab traces.
+  trace::MergeFrontier frontier(fleet.lab_count(),
+                                std::numeric_limits<std::size_t>::max());
+  frontier.Reserve(ReservePerMachine(config.campus) * fleet.size());
+  trace::TraceBlock merged;
+  const auto take = [&](trace::TraceBlock& block) { std::swap(merged, block); };
+  detail::RunLoop(run, frontier, take, kWindowIterations, run_t0);
+  if (!frontier.finished() || !run.errors.empty()) {
+    throw std::logic_error("in-memory campaign run failed: " +
+                           (run.errors.empty() ? "" : run.errors.front()));
+  }
+  auto adopted = trace::TraceStore::Adopt(
+      fleet.size(), std::move(merged.cols), std::move(merged.users),
+      frontier.TakeIterations());
+  if (!adopted.ok()) throw std::logic_error(adopted.error());
   ExperimentResult result;
   result.days = config.campus.days;
-  const std::size_t reserve_per_machine = ReservePerMachine(config.campus);
-
-  util::log::Info("running " + std::to_string(config.campus.days) +
-                  "-day experiment over " + std::to_string(fleet.size()) +
-                  " machines (" + std::to_string(shards.size()) + " shards)");
-
-  // One trace per lab, merged below; one output per shard.
-  std::vector<trace::TraceStore> lab_traces(fleet.lab_count());
-  std::vector<ShardOutput> outputs(shards.size());
-  const auto collect_t0 = std::chrono::steady_clock::now();
-  {
-    obs::Span collect_span("experiment.collect");
-    collect_span.SetSimRange(0, config.campus.EndTime());
-    auto run_shard = [&](std::size_t s) {
-      const auto t0 = std::chrono::steady_clock::now();
-      obs::Span shard_span("experiment.shard");
-      shard_span.SetSimRange(0, config.campus.EndTime());
-      obs::prof::ShardScope prof_shard(static_cast<std::uint32_t>(s));
-      obs::prof::PhaseScope prof_collect(obs::prof::Phase::kCollect);
-      for (std::size_t lab = shards[s].lab_begin; lab < shards[s].lab_end;
-           ++lab) {
-        trace::TraceStore& store = lab_traces[lab];
-        store.set_machine_count(fleet.size());
-        store.Reserve(reserve_per_machine * fleet.labs()[lab].count);
-        trace::TraceStoreSink sink(store);
-        outputs[s].tally += detail::LabRun(campaign, lab, sink, sink).Run();
-      }
-      outputs[s].wall_s = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-    };
-    util::ParallelFor(shards.size(), run_shard, shards.size());
-  }
-  const double collect_wall_s = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() -
-                                    collect_t0)
-                                    .count();
-
-  // Shard-imbalance gauge: max shard wall time over the mean. 1.0 = perfect
-  // balance; large values mean one shard serialised the run.
-  {
-    double max_wall = 0.0;
-    double sum_wall = 0.0;
-    for (const ShardOutput& out : outputs) {
-      max_wall = std::max(max_wall, out.wall_s);
-      sum_wall += out.wall_s;
-    }
-    const double mean_wall = sum_wall / static_cast<double>(outputs.size());
-    obs::DefaultRegistry()
-        .GetGauge("labmon_experiment_shard_imbalance_ratio",
-                  "Max shard wall time / mean shard wall time of the last "
-                  "sharded run (1.0 = perfectly balanced).")
-        .Set(mean_wall > 0.0 ? max_wall / mean_wall : 1.0);
-  }
-
-  // Deterministic merge: iteration-major, (t, machine)-ordered. The result
-  // is the same for every shard count and thread schedule.
-  result.trace = trace::MergeTraces(lab_traces);
-  detail::LabTally total;
-  for (const ShardOutput& out : outputs) total += out.tally;
-  detail::InstallTotals(result, total, result.trace.iterations());
+  result.trace = std::move(adopted).value();
+  detail::InstallTotals(result, run.Total(), result.trace.iterations());
   detail::FillFleetSummaries(result, fleet);
-  // Critical-path share: fraction of the run's wall time spent outside the
-  // sharded collect region (fleet build, merge, aggregation) — the serial
-  // work that caps any shard-count speedup (Amdahl). Exposed for the
-  // profiler report and the prof_gate bench comparator.
-  {
-    const double run_wall_s = std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - run_t0)
-                                  .count();
-    const double serial_s = std::max(0.0, run_wall_s - collect_wall_s);
-    obs::DefaultRegistry()
-        .GetGauge("labmon_prof_critical_path_fraction",
-                  "Serial (non-sharded) share of the last experiment run's "
-                  "wall time: 0 = fully parallel, 1 = fully serial.")
-        .Set(run_wall_s > 0.0 ? serial_s / run_wall_s : 0.0);
-  }
   util::log::Info("collected " + std::to_string(result.trace.size()) +
                   " samples in " +
                   std::to_string(result.run_stats.iterations) + " iterations");

@@ -8,7 +8,6 @@
 
 #include "labmon/core/snapshot.hpp"
 #include "labmon/obs/prof.hpp"
-#include "labmon/obs/registry.hpp"
 #include "labmon/obs/span.hpp"
 #include "labmon/util/log.hpp"
 #include "labmon/util/parallel.hpp"
@@ -42,55 +41,6 @@ faultsim::FaultPlan LabFaultPlan(const ExperimentConfig& config,
   return plan;
 }
 
-StreamingExperimentResult NewResult(const Campaign& campaign,
-                                    const StreamingOptions& options) {
-  StreamingExperimentResult result;
-  result.days = campaign.config.campus.days;
-  if (!options.spill_dir.empty()) {
-    result.spill.codec = trace::SpillCodecName(options.spill_codec);
-  }
-  FillFleetSummaries(result, campaign.fleet);
-  return result;
-}
-
-analysis::StreamingAnalysisConfig FoldConfig(
-    const Campaign& campaign, const StreamingExperimentResult& result) {
-  analysis::StreamingAnalysisConfig config;
-  config.machine_count = campaign.fleet.size();
-  config.perf_index = result.perf_index;
-  for (const auto& lab : campaign.fleet.labs()) {
-    config.labs.push_back(analysis::LabKey{lab.name, lab.first, lab.count});
-  }
-  config.experiment_days = campaign.config.campus.days;
-  return config;
-}
-
-/// Mirrors the run's spill accounting into obs gauges (no-op when the run
-/// did not spill). Per-column ratios are kept by the codec itself under
-/// labmon_spill_column_*.
-void PublishSpillGauges(const SpillCompressionStats& spill) {
-  if (spill.codec.empty() || spill.segments == 0) return;
-  auto& registry = obs::DefaultRegistry();
-  const obs::Labels labels{{"codec", spill.codec}};
-  registry
-      .GetGauge("labmon_spill_compression_ratio",
-                "Raw columnar bytes per encoded spill payload byte.", labels)
-      .Set(spill.CompressionRatio());
-  registry
-      .GetGauge("labmon_spill_segment_bytes",
-                "On-disk spill segment bytes written by the last run.",
-                labels)
-      .Set(static_cast<double>(spill.segment_bytes));
-  registry
-      .GetGauge("labmon_spill_encode_ns_per_sample",
-                "Spill encode cost of the last run, ns per sample.", labels)
-      .Set(spill.EncodeNsPerSample());
-  registry
-      .GetGauge("labmon_spill_decode_ns_per_sample",
-                "Spill decode cost of the last run, ns per sample.", labels)
-      .Set(spill.DecodeNsPerSample());
-}
-
 }  // namespace
 
 LabTally& LabTally::operator+=(const LabTally& other) noexcept {
@@ -121,15 +71,14 @@ std::size_t ClampWorkers(int shards, std::size_t lab_count) {
   return std::max<std::size_t>(1, std::min(lab_count, requested));
 }
 
-LabRun::LabRun(Campaign& campaign, std::size_t lab, ddc::SampleSink& sink,
-               const trace::TraceStoreSink& parser)
+LabRun::LabRun(Campaign& campaign, std::size_t lab, BlockSealer& sealer)
     : end_(campaign.config.campus.EndTime()),
-      parser_(parser),
+      parser_(sealer.parser()),
       driver_(campaign.fleet, campaign.config.campus, campaign.profile, lab,
               lab + 1),
       injector_(LabFaultPlan(campaign.config, lab),
                 campaign.config.collector.metrics),
-      coordinator_(campaign.fleet, probe_, Collector(campaign, lab), sink,
+      coordinator_(campaign.fleet, probe_, Collector(campaign, lab), sealer,
                    ddc::Coordinator::AdvanceFn(advance_)) {}
 
 ddc::CoordinatorConfig LabRun::Collector(Campaign& campaign,
@@ -155,12 +104,6 @@ void LabRun::Advance::operator()(util::SimTime t) const {
   // stay inside the profiler's overhead budget.
   obs::prof::SampledPhaseScope prof_scope(obs::prof::Phase::kSimulate);
   driver->AdvanceTo(t);
-}
-
-LabTally LabRun::Run() {
-  Begin();
-  StepUntil(end_);
-  return Finish();
 }
 
 LabTally LabRun::Finish() {
@@ -318,27 +261,18 @@ void WarnCrosscheckMismatches(std::uint64_t mismatches) {
                   "codec diverged from the wire format");
 }
 
-SealingRun::SealingRun(const ExperimentConfig& config,
-                       const StreamingOptions& options)
+CampaignRun::CampaignRun(const ExperimentConfig& config,
+                         const StreamingOptions& options)
     : campaign(config),
       options(options),
       spill(!options.spill_dir.empty()),
       fingerprint(FingerprintConfig(config)),
-      result(NewResult(campaign, options)),
-      fold(FoldConfig(campaign, result)),
-      detector(options.anomaly_threshold > 0.0
-                   ? std::make_unique<analysis::AnomalyDetector>(
-                         campaign.fleet.size(),
-                         analysis::AnomalyOptions{
-                             .threshold = options.anomaly_threshold},
-                         options.anomaly_writer)
-                   : nullptr),
       checkpoints(campaign.fleet.lab_count()),
       resumed(campaign.fleet.lab_count(), 0) {
-  if (detector) fold.AttachAnomalyDetector(detector.get());
+  if (spill) spill_stats.codec = trace::SpillCodecName(options.spill_codec);
 }
 
-bool SealingRun::Prepare() {
+bool CampaignRun::Prepare() {
   if (!spill) return true;
   std::error_code ec;
   std::filesystem::create_directories(options.spill_dir, ec);
@@ -360,19 +294,19 @@ bool SealingRun::Prepare() {
     }
     checkpoints[lab] = cp;
     resumed[lab] = 1;
-    ++result.labs_resumed;
+    ++labs_resumed;
   }
   return true;
 }
 
-SealedLab::SealedLab(SealingRun& run, std::size_t lab, std::size_t reserve,
+SealedLab::SealedLab(CampaignRun& run, std::size_t lab, std::size_t reserve,
                      BlockSealer::Publish publish)
     : sealer(run.campaign.fleet.size(), run.options.block_samples, reserve,
              run.spill ? SegmentPath(run.options.spill_dir, lab) : "",
              run.options.spill_codec, std::move(publish)),
-      collector(run.campaign, lab, sealer, sealer.parser()) {}
+      collector(run.campaign, lab, sealer) {}
 
-bool SealingRun::Commit(std::size_t lab, BlockSealer& sealer,
+bool CampaignRun::Commit(std::size_t lab, BlockSealer& sealer,
                         const LabTally& tally) {
   sealer.SealPending();
   if (!sealer.error().empty()) return Fail(sealer.error());
@@ -385,8 +319,8 @@ bool SealingRun::Commit(std::size_t lab, BlockSealer& sealer,
   }
   {
     const trace::SpillCodecStats& stats = segment.codec_stats();
-    const std::scoped_lock lock(spill_mutex_);
-    SpillCompressionStats& out = result.spill;
+    const std::scoped_lock lock(mutex_);
+    SpillCompressionStats& out = spill_stats;
     ++out.segments;
     out.segment_bytes += segment.bytes_written();
     out.blocks_encoded += stats.blocks;
@@ -404,16 +338,16 @@ bool SealingRun::Commit(std::size_t lab, BlockSealer& sealer,
   return true;
 }
 
-bool SealingRun::Fail(std::string message) {
-  const std::scoped_lock lock(error_mutex_);
-  result.errors.push_back(std::move(message));
+bool CampaignRun::Fail(std::string message) {
+  const std::scoped_lock lock(mutex_);
+  errors.push_back(std::move(message));
   return false;
 }
 
-void SealingRun::AddDecodeStats(const trace::SegmentReader& reader) {
+void CampaignRun::AddDecodeStats(const trace::SegmentReader& reader) {
   const trace::SpillCodecStats& stats = reader.codec_stats();
-  const std::scoped_lock lock(spill_mutex_);
-  SpillCompressionStats& out = result.spill;
+  const std::scoped_lock lock(mutex_);
+  SpillCompressionStats& out = spill_stats;
   out.blocks_decoded += stats.blocks;
   out.samples_decoded += stats.samples;
   out.raw_bytes_decoded += stats.raw_bytes;
@@ -421,30 +355,10 @@ void SealingRun::AddDecodeStats(const trace::SegmentReader& reader) {
   out.decode_s += static_cast<double>(stats.ns) * 1e-9;
 }
 
-void SealingRun::Finish(trace::TraceStore summary,
-                        analysis::StreamingAnalysisResult analysis,
-                        std::uint64_t samples, std::uint64_t merged_blocks,
-                        std::uint64_t stream_hash) {
+LabTally CampaignRun::Total() const {
   LabTally total;
   for (const LabCheckpoint& cp : checkpoints) total += cp;
-  InstallTotals(result, total, summary.iterations());
-  result.summary = std::move(summary);
-  result.analysis = std::move(analysis);
-  result.samples = samples;
-  result.merged_blocks = merged_blocks;
-  result.stream_hash = stream_hash;
-  if (detector) {
-    result.anomalies = detector->anomalies();
-    result.anomaly_observations = detector->observations();
-  }
-  PublishSpillGauges(result.spill);
-}
-
-trace::TraceStore SummaryStore(std::size_t machine_count,
-                               std::span<const trace::IterationInfo> its) {
-  trace::TraceStore summary(machine_count);
-  for (const trace::IterationInfo& info : its) summary.AppendIteration(info);
-  return summary;
+  return total;
 }
 
 }  // namespace labmon::core::detail

@@ -1,20 +1,22 @@
-// The per-lab collection slice shared by both campaign engines
-// (core/src only — not part of the installed API).
+// The per-lab collection slice and the one campaign run loop shared by
+// both campaign engines (core/src only — not part of the installed API).
 //
 // The paper's DDC runs one unit of work per lab: probe every machine of the
 // lab each collection period. LabRun is that unit — behaviour driver,
 // probe, fault injector and coordinator, with the lab's collector and fault
-// seeds derived here and nowhere else — collecting into any
-// ddc::SampleSink. Experiment::Run feeds it a plain TraceStoreSink; the
-// streaming engine feeds it a BlockSealer and keeps its run-wide
-// spill/checkpoint state in a SealingRun. The result helpers below
-// assemble the totals both engines report, so they stay bit-identical by
-// construction.
+// seeds derived here and nowhere else — collecting into a BlockSealer.
+// RunLoop (streaming.cpp) advances every lab's slice in lockstep windows
+// and merges the sealed blocks; the engines differ only in what consumes
+// each merged block: Experiment::Run merges into one block, its trace,
+// StreamingExperiment::Run folds it into the streaming analysis. The
+// run-wide campaign, checkpoint and error state lives in a CampaignRun,
+// and the result helpers below assemble the totals both engines report,
+// so they stay bit-identical by construction.
 #pragma once
 
+#include <chrono>
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -24,6 +26,7 @@
 #include "labmon/core/streaming.hpp"
 #include "labmon/ddc/w32_probe.hpp"
 #include "labmon/faultsim/fault_injector.hpp"
+#include "labmon/trace/merge_frontier.hpp"
 #include "labmon/trace/segment.hpp"
 #include "labmon/trace/sink.hpp"
 #include "labmon/winsim/fleet.hpp"
@@ -59,21 +62,18 @@ struct Campaign {
 /// [1, lab_count].
 [[nodiscard]] std::size_t ClampWorkers(int shards, std::size_t lab_count);
 
-/// Collects lab `lab` of the campaign into `sink`. Run() drives the whole
-/// horizon; Begin/StepUntil/Finish drive it in windows with a bit-identical
-/// probe/fault sequence. Never moved: the coordinator holds references
-/// into the object.
+class BlockSealer;
+
+/// Collects lab `lab` of the campaign into `sealer`. Begin/StepUntil/Finish
+/// drive it in windows; any ascending window partition yields the same
+/// probe/fault sequence. Finish() reports the sealer's parse tallies.
+/// Never moved: the coordinator holds references into the object.
 class LabRun {
  public:
-  /// `parser` is the TraceStoreSink that parses what reaches `sink` (the
-  /// sink itself or the one it wraps); Finish() reports its tallies.
-  LabRun(Campaign& campaign, std::size_t lab, ddc::SampleSink& sink,
-         const trace::TraceStoreSink& parser);
+  LabRun(Campaign& campaign, std::size_t lab, BlockSealer& sealer);
   LabRun(const LabRun&) = delete;
   LabRun& operator=(const LabRun&) = delete;
 
-  /// Begin(); StepUntil(end); Finish().
-  LabTally Run();
   void Begin() { coordinator_.Begin(0); }
   void StepUntil(util::SimTime until) { coordinator_.StepUntil(until); }
   /// Ends the run at the campaign horizon and returns the lab's tally.
@@ -226,15 +226,14 @@ void FillFleetSummaries(Result& result, const winsim::Fleet& fleet) {
   }
 }
 
-/// Run-wide state of the streaming engine: the campaign, the
-/// result under construction, the analysis fold, the per-lab checkpoints
-/// (restored on resume, filled as live labs commit) and the thread-safe
-/// error and spill accounting.
-class SealingRun {
+/// Run-wide state both engines share: the campaign, the per-lab
+/// checkpoints (restored on resume, filled as live labs commit) and the
+/// thread-safe error and spill accounting.
+class CampaignRun {
  public:
-  SealingRun(const ExperimentConfig& config, const StreamingOptions& options);
-  SealingRun(const SealingRun&) = delete;
-  SealingRun& operator=(const SealingRun&) = delete;
+  CampaignRun(const ExperimentConfig& config, const StreamingOptions& options);
+  CampaignRun(const CampaignRun&) = delete;
+  CampaignRun& operator=(const CampaignRun&) = delete;
 
   /// Creates the spill dir and, on resume, restores every lab whose
   /// sidecar and segment are both valid. False (error recorded) when the
@@ -250,39 +249,46 @@ class SealingRun {
   bool Fail(std::string message);
   void AddDecodeStats(const trace::SegmentReader& reader);
 
-  /// Installs the merged stream's summary and analysis plus the totals.
-  void Finish(trace::TraceStore summary,
-              analysis::StreamingAnalysisResult analysis,
-              std::uint64_t samples, std::uint64_t merged_blocks,
-              std::uint64_t stream_hash);
+  /// The summed tallies of every lab's checkpoint.
+  [[nodiscard]] LabTally Total() const;
 
   Campaign campaign;
   const StreamingOptions& options;
   const bool spill;
   const std::uint64_t fingerprint;
-  StreamingExperimentResult result;
-  analysis::StreamingAnalysis fold;
-  const std::unique_ptr<analysis::AnomalyDetector> detector;
   std::vector<LabCheckpoint> checkpoints;
   std::vector<char> resumed;
+  std::size_t labs_resumed = 0;
+  /// Written under the mutex while the run loop is live.
+  std::vector<std::string> errors;
+  SpillCompressionStats spill_stats;
 
  private:
-  std::mutex error_mutex_;
-  std::mutex spill_mutex_;
+  std::mutex mutex_;
 };
 
-/// One live lab of the streaming engine: its sealer (writing the lab's
-/// segment when the run spills) and the collector feeding it. Never moved.
+/// One live lab: its sealer (writing the lab's segment when the run
+/// spills) and the collector feeding it. Never moved.
 struct SealedLab {
-  SealedLab(SealingRun& run, std::size_t lab, std::size_t reserve,
+  SealedLab(CampaignRun& run, std::size_t lab, std::size_t reserve,
             BlockSealer::Publish publish);
 
   BlockSealer sealer;
   LabRun collector;
 };
 
-/// A summary store: machine count + the merged iteration records.
-trace::TraceStore SummaryStore(std::size_t machine_count,
-                               std::span<const trace::IterationInfo> its);
+/// The one campaign run loop (see streaming.cpp): prepares `run` (spill
+/// dir, resume scan), then shard threads step their labs in lockstep
+/// windows of `window_iterations` collection periods (any length gives
+/// the same output) and a merge thread runs `frontier` (one part per lab),
+/// handing each merged block to `consume` in merged order. The run
+/// completed iff `frontier.finished()` and `run.errors` is empty; an
+/// exception on a loop thread is rethrown after the joins. Sets the
+/// shard-imbalance and critical-path (from `run_t0`) gauges and returns
+/// the loop-side pipeline stats (pipeline_wall_s covers the loop alone).
+PipelineStats RunLoop(CampaignRun& run, trace::MergeFrontier& frontier,
+                      trace::MergeFrontier::EmitFn consume,
+                      std::size_t window_iterations,
+                      std::chrono::steady_clock::time_point run_t0);
 
 }  // namespace labmon::core::detail

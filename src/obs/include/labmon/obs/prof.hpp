@@ -59,7 +59,7 @@ enum class Phase : std::uint8_t {
   kAnalysis,        ///< derived trace + analysis pipeline
   kSnapshot,        ///< snapshot cache load/store
   kExport,          ///< report/CSV/exporter output
-  kStage,           ///< streaming engine: block sealing + ring transfer/waits
+  kStage,           ///< run loop: block sealing, ring transfer, full-ring waits
   kFold,            ///< streaming engine: streaming-analysis fold stage
   kOther,
 };

@@ -1,15 +1,15 @@
 // MergeFrontier — the incremental, push-model core of the streaming merge.
 //
 // StreamMergeBlocks (stream_merge.hpp) pulls blocks from readers; the
-// streaming engine instead *pushes* blocks as labs seal them, out of lab
+// campaign run loop instead *pushes* blocks as labs seal them, out of lab
 // order, and wants merged output as soon as an iteration front is ready —
 // an iteration front is complete when every live part has either buffered
 // content covering that iteration or finished its stream. MergeFrontier
 // is that state machine: Append()/FinishPart() feed it, Advance() merges
 // every ready front (replaying MergeTraces' exact order: per global
 // iteration, gather all parts' samples, sort by (t, machine), append) and
-// emits sealed merged blocks. Both StreamMergeBlocks and the streaming
-// engine are built on it, so the merged sample sequence is bit-identical
+// emits sealed merged blocks. Both StreamMergeBlocks and the campaign run
+// loop are built on it, so the merged sample sequence is bit-identical
 // to MergeTraces' by construction.
 //
 // Ready fronts are gathered in batches; when more than one front is ready
@@ -20,14 +20,16 @@
 // — is identical however the sorting is scheduled.
 //
 // Buffered blocks are either owned (heap TraceBlocks, handed back through
-// the recycle callback once fully consumed — the streaming engine returns
-// them to per-shard pools) or borrowed views (the pull model's reader
+// the recycle callback once fully consumed — the run loop returns them to
+// per-lab pools) or borrowed views (the pull model's reader
 // scratch, valid until the caller invalidates it after Advance returns).
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "labmon/trace/block.hpp"
@@ -45,8 +47,13 @@ class MergeFrontier {
   using RecycleFn =
       util::FunctionRef<void(std::size_t part, std::unique_ptr<TraceBlock>)>;
 
-  MergeFrontier(std::size_t part_count, std::size_t machine_count,
-                std::size_t block_samples);
+  /// Merges `part_count` streams into blocks of about `block_samples`
+  /// rows (a block seals at the first front boundary at or past it).
+  MergeFrontier(std::size_t part_count, std::size_t block_samples);
+
+  /// Reserves room for `samples` rows in the merged block being filled
+  /// (for a caller that merges into one block of known size).
+  void Reserve(std::size_t samples);
 
   /// Buffers the next owned block of `part`. Blocks of one part must
   /// arrive in that part's stream order; parts interleave arbitrarily.
@@ -118,12 +125,15 @@ class MergeFrontier {
   /// Gathers the next front's keys into batch_keys_ (consuming cursors);
   /// records the key range and the front's IterationInfo (if any).
   void GatherFront();
+  /// Appends the sorted keys [begin, end) of one front to the merged block.
+  void AppendFront(std::size_t begin, std::size_t end);
   void Seal(EmitFn emit);
 
   std::vector<Part> parts_;
   const std::size_t block_samples_;
-  TraceStore builder_;
-  TraceBlock sealed_;
+  /// The merged block being filled, and its user name -> id table.
+  TraceBlock builder_;
+  std::unordered_map<std::string, std::uint32_t> user_ids_;
 
   std::uint64_t next_front_ = 0;
   // Readiness scan state, persisted across stalls: parts below scan_pos_

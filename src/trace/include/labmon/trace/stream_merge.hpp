@@ -31,6 +31,8 @@ struct StreamMergeResult {
 /// once for the final partial block, if non-empty). Readers must be fresh
 /// (or Reset); reader-level IO failures end that part's stream early —
 /// callers owning SegmentReaders must check their failed() afterwards.
+/// `machine_count` is unused (merged blocks carry no machine count); it
+/// stays in the signature for existing callers.
 StreamMergeResult StreamMergeBlocks(
     std::span<TraceReader* const> parts, std::size_t machine_count,
     std::size_t block_samples,

@@ -17,11 +17,14 @@ constexpr std::size_t kParallelSortThreshold = 4096;
 }  // namespace
 
 MergeFrontier::MergeFrontier(std::size_t part_count,
-                             std::size_t machine_count,
                              std::size_t block_samples)
     : parts_(part_count),
-      block_samples_(std::max<std::size_t>(1, block_samples)),
-      builder_(machine_count) {}
+      block_samples_(std::max<std::size_t>(1, block_samples)) {}
+
+void MergeFrontier::Reserve(std::size_t samples) {
+  TraceStore::ForEachColumn(
+      [&](auto member) { (builder_.cols.*member).reserve(samples); });
+}
 
 void MergeFrontier::Append(std::size_t part,
                            std::unique_ptr<TraceBlock> block) {
@@ -127,14 +130,42 @@ void MergeFrontier::GatherFront() {
   scan_content_ = false;
 }
 
+void MergeFrontier::AppendFront(std::size_t begin, std::size_t end) {
+  // Column at a time: each pass reads one column of every source block,
+  // so the gather stays cache-friendly however many parts interleave.
+  const std::size_t first = builder_.size();
+  TraceStore::ForEachColumn([&](auto member) {
+    auto& column = builder_.cols.*member;
+    column.resize(first + (end - begin));
+    auto* out = column.data() + first;
+    for (std::size_t k = begin; k < end; ++k) {
+      *out++ = (batch_keys_[k].src->cols.*member)[batch_keys_[k].idx];
+    }
+  });
+  // Session users move into the merged block's table in first-appearance
+  // order; session-free rows (and a session row without a user, which
+  // only a malformed input holds) get kNoUser.
+  for (std::size_t k = begin, row = first; k < end; ++k, ++row) {
+    std::uint32_t& uid = builder_.cols.user_id[row];
+    if (builder_.cols.has_session[row] == 0 || uid == TraceStore::kNoUser) {
+      uid = TraceStore::kNoUser;
+      continue;
+    }
+    const std::string& user = batch_keys_[k].src->users[uid];
+    const auto [it, added] = user_ids_.try_emplace(
+        user, static_cast<std::uint32_t>(builder_.users.size()));
+    if (added) builder_.users.push_back(user);
+    uid = it->second;
+  }
+}
+
 void MergeFrontier::Seal(EmitFn emit) {
-  if (builder_.size() == 0) return;
-  sealed_.AssignFrom(builder_);
-  sealed_.iterations.clear();
-  samples_ += sealed_.size();
+  if (builder_.empty()) return;
+  samples_ += builder_.size();
   ++blocks_;
-  emit(sealed_);
-  builder_.ClearSamples();
+  emit(builder_);
+  builder_.Clear();
+  user_ids_.clear();
 }
 
 std::size_t MergeFrontier::Advance(EmitFn emit, RecycleFn recycle,
@@ -177,15 +208,7 @@ std::size_t MergeFrontier::Advance(EmitFn emit, RecycleFn recycle,
       // one-front-at-a-time merge would put them.
       for (std::size_t f = 0; f < batch_ranges_.size(); ++f) {
         const auto [begin, end] = batch_ranges_[f];
-        for (std::size_t k = begin; k < end; ++k) {
-          const Key& key = batch_keys_[k];
-          const TraceBlock& src = *key.src;
-          std::uint32_t uid = src.cols.user_id[key.idx];
-          if (uid != TraceStore::kNoUser) {
-            uid = builder_.InternUserId(src.users[uid]);
-          }
-          builder_.AppendFrom(src.cols, key.idx, uid);
-        }
+        AppendFront(begin, end);
         if (batch_has_info_[f]) iterations_.push_back(batch_infos_[f]);
         ++fronts_merged;
         if (builder_.size() >= block_samples_) Seal(emit);

@@ -530,7 +530,14 @@ util::Result<bool> Lmsg2Codec::DecodeBlock(std::string_view payload,
   {  // user_id: 0 = no session, else table index + 1
     if (!read_tokens()) return column_error();
     cols.user_id.reserve(n);
-    for (const std::uint64_t tok : s.tokens) {
+    for (std::size_t i = 0; i < s.tokens.size(); ++i) {
+      const std::uint64_t tok = s.tokens[i];
+      // A row has a user exactly when it has a session (as LMSG1 and
+      // TraceStore::Append guarantee by construction).
+      if ((tok == 0) != (cols.has_session[i] == 0)) {
+        err = "session flag and user reference disagree";
+        return column_error();
+      }
       if (tok == 0) {
         cols.user_id.push_back(TraceStore::kNoUser);
       } else {

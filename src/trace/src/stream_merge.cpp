@@ -13,14 +13,14 @@ namespace labmon::trace {
 // the reader's scratch block stays valid exactly as long as the frontier
 // references it (its rows are appended before Advance returns).
 StreamMergeResult StreamMergeBlocks(
-    std::span<TraceReader* const> parts, std::size_t machine_count,
+    std::span<TraceReader* const> parts, std::size_t /*machine_count*/,
     std::size_t block_samples,
     util::FunctionRef<void(const TraceBlock&)> sink) {
   obs::prof::PhaseScope prof_scope(obs::prof::Phase::kMerge);
   StreamMergeResult result;
   if (parts.empty()) return result;
 
-  MergeFrontier frontier(parts.size(), machine_count, block_samples);
+  MergeFrontier frontier(parts.size(), block_samples);
   const auto feed = [&](std::size_t p) {
     if (const TraceBlock* block = parts[p]->Next(); block != nullptr) {
       frontier.AppendView(p, block);

@@ -16,8 +16,9 @@ void TraceStore::Reserve(std::size_t samples) {
 }
 
 std::uint32_t TraceStore::InternUser(const std::string& user) {
+  // try_emplace: no node is built for a user already in the table.
   const auto [it, inserted] =
-      user_ids_.emplace(user, static_cast<std::uint32_t>(users_.size()));
+      user_ids_.try_emplace(user, static_cast<std::uint32_t>(users_.size()));
   if (inserted) users_.push_back(user);
   return it->second;
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -70,7 +71,8 @@ class CountingPass final : public AnalysisPass {
     merged_machines = st.machines_seen;
   }
 
-  mutable int states_made = 0;
+  // Bumped from the pipeline's worker threads.
+  mutable std::atomic<int> states_made{0};
   std::uint64_t total_samples = 0;
   std::vector<std::size_t> merged_machines;
 };
@@ -99,7 +101,7 @@ TEST(AnalysisPipelineTest, MakesOneStatePerChunkPlusMergeTarget) {
   auto& pass = pipeline.Emplace<CountingPass>();
   pipeline.Run(derived);
   // ceil(17/4) = 5 chunk states + 1 fresh state merged into.
-  EXPECT_EQ(pass.states_made, 6);
+  EXPECT_EQ(pass.states_made.load(), 6);
 }
 
 TEST(AnalysisPipelineTest, ResultIndependentOfWorkerCount) {

@@ -7,7 +7,10 @@
 // traces merge in a deterministic (iteration, t, machine) order — so shard
 // count must be invisible in the result. Pinned here at 1/2/8 shards, with
 // and without an active fault plan, plus the snapshot-fingerprint rules
-// (shards excluded, scale_labs included).
+// (shards excluded, scale_labs included). The 1-day traces are also frozen
+// against FNV-1a constants captured from the collect-then-MergeTraces
+// engine, an oracle that shares no code with the streaming run loop.
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -44,6 +47,17 @@ faultsim::FaultPlan MixedPlan() {
   plan.stochastic.wire_corruption_prob = 0.01;
   plan.outages.push_back({"L03", 2 * 3600, 2 * 3600 + 30 * 60});
   return plan;
+}
+
+// FNV-1a of SerializeTrace(Experiment::Run(config).trace) for the 1-day
+// config, clean and under MixedPlan with three retry attempts.
+constexpr std::uint64_t kCleanDayTraceHash = 0x43ab45d7485b6c43ull;
+constexpr std::uint64_t kMixedPlanDayTraceHash = 0xd9ab7389f219bdcdull;
+
+void ExpectFrozenHash(const core::ExperimentResult& result,
+                      std::uint64_t expected) {
+  EXPECT_EQ(Fnv1a(trace::SerializeTrace(result.trace)), expected)
+      << std::hex << "0x" << Fnv1a(trace::SerializeTrace(result.trace));
 }
 
 void ExpectIdentical(const core::ExperimentResult& a,
@@ -87,6 +101,9 @@ TEST(ShardedDeterminismTest, CleanRunBitIdenticalAcrossShardCounts) {
 
   ExpectIdentical(one, two);
   ExpectIdentical(one, eight);
+  for (const auto* run : {&one, &two, &eight}) {
+    ExpectFrozenHash(*run, kCleanDayTraceHash);
+  }
 }
 
 TEST(ShardedDeterminismTest, FaultedRunBitIdenticalAcrossShardCounts) {
@@ -105,6 +122,9 @@ TEST(ShardedDeterminismTest, FaultedRunBitIdenticalAcrossShardCounts) {
   ASSERT_GT(one.run_stats.faults_injected, 0u);
   ExpectIdentical(one, two);
   ExpectIdentical(one, eight);
+  for (const auto* run : {&one, &two, &eight}) {
+    ExpectFrozenHash(*run, kMixedPlanDayTraceHash);
+  }
 }
 
 // --- contract 2: fingerprint rules ------------------------------------------

@@ -6,9 +6,12 @@
 // forces constant backpressure); a campaign killed mid-run must resume
 // from its per-lab checkpoints to the exact same result, under either
 // spill codec; and a failing lab must abort the pipeline promptly instead
-// of deadlocking a parked stage.
+// of deadlocking a parked stage or a shard thread parked at the lockstep
+// barrier.
+#include <cstddef>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -362,6 +365,49 @@ TEST(StreamingDeterminismTest, FailingLabAbortsWithoutDeadlock) {
       core::StreamingExperiment::Run(GoldenConfig(4), options);
   ASSERT_FALSE(streamed.errors.empty());
   EXPECT_EQ(streamed.samples, 0u);
+}
+
+/// Threads of this process (Linux: one /proc/self/task entry each).
+std::size_t ThreadCount() {
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"),
+      std::filesystem::directory_iterator{}));
+}
+
+TEST(StreamingDeterminismTest, MidRunSealerFailureStopsShardsAtTheBarrier) {
+  // Lab 5's segment path points at /dev/full: the segment opens and its
+  // first blocks land in the stream buffer, so the lab runs normally until
+  // the buffer first flushes a few windows in and a block write fails. Its
+  // shard records the error while the other three shards park at the
+  // lockstep barrier; the barrier's completion step must then stop every
+  // shard, and the run must return the error with every thread it started
+  // joined.
+  if (!std::filesystem::exists("/dev/full") ||
+      !std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "needs /dev/full and /proc/self/task";
+  }
+  const std::string dir = ::testing::TempDir() + "/labmon_stream_midrun_fail";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::filesystem::create_symlink("/dev/full", dir + "/lab0005.lmsg");
+  core::StreamingOptions options;
+  options.spill_dir = dir;
+  options.block_samples = 256;
+  const std::size_t threads_before = ThreadCount();
+  const auto streamed =
+      core::StreamingExperiment::Run(GoldenConfig(4), options);
+  ASSERT_FALSE(streamed.errors.empty());
+  EXPECT_NE(streamed.errors.front().find("lab0005.lmsg"), std::string::npos)
+      << streamed.errors.front();
+  EXPECT_EQ(streamed.samples, 0u);
+  EXPECT_EQ(ThreadCount(), threads_before);
+  // The lockstep stopped early: no lab reached its checkpoint.
+  for (std::size_t lab = 0; lab < 11; ++lab) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "/lab%04zu.ck", lab);
+    EXPECT_FALSE(std::filesystem::exists(dir + name)) << name;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

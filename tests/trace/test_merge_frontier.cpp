@@ -3,17 +3,22 @@
 // the same part streams, regardless of the order parts' blocks arrive,
 // the order parts finish, whether blocks are owned or borrowed views,
 // and how many sort workers batch the ready fronts. These invariances
-// are what make the streaming engine's output independent of thread
-// scheduling.
+// are what make the campaign run loop's output independent of thread
+// scheduling. The serial MergeTraces over the same per-part stores is
+// kept as an oracle that shares no code with the frontier.
 #include "labmon/trace/merge_frontier.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <span>
+#include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "labmon/trace/block.hpp"
+#include "labmon/trace/merge.hpp"
 #include "labmon/trace/stream_merge.hpp"
 
 namespace labmon::trace {
@@ -54,9 +59,9 @@ SampleRecord MakeRecord(std::uint32_t machine, std::uint32_t iteration,
   return r;
 }
 
-/// One part block covering iterations [it_begin, it_end): iteration-major
+/// One part's store covering iterations [it_begin, it_end): iteration-major
 /// rows for the part's two machines plus per-iteration metadata.
-TraceBlock MakePartBlock(std::size_t part, std::uint32_t it_begin,
+TraceStore MakePartStore(std::size_t part, std::uint32_t it_begin,
                          std::uint32_t it_end) {
   TraceStore store(kMachineCount);
   for (std::uint32_t it = it_begin; it < it_end; ++it) {
@@ -71,8 +76,13 @@ TraceBlock MakePartBlock(std::size_t part, std::uint32_t it_begin,
          static_cast<std::uint32_t>(2 * kSamplesPerMachine + part),
          static_cast<std::uint32_t>(2 * kSamplesPerMachine)});
   }
+  return store;
+}
+
+TraceBlock MakePartBlock(std::size_t part, std::uint32_t it_begin,
+                         std::uint32_t it_end) {
   TraceBlock block;
-  block.AssignFrom(store);
+  block.AssignFrom(MakePartStore(part, it_begin, it_end));
   return block;
 }
 
@@ -122,18 +132,23 @@ MergedDigest PullReference(const std::vector<std::vector<TraceBlock>>& parts) {
   return digest;
 }
 
+void ExpectIterationsEqual(std::span<const IterationInfo> got,
+                           std::span<const IterationInfo> want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].iteration, want[i].iteration);
+    EXPECT_EQ(got[i].start_t, want[i].start_t);
+    EXPECT_EQ(got[i].end_t, want[i].end_t);
+    EXPECT_EQ(got[i].attempts, want[i].attempts);
+    EXPECT_EQ(got[i].successes, want[i].successes);
+  }
+}
+
 void ExpectDigestsEqual(const MergedDigest& got, const MergedDigest& want) {
   EXPECT_EQ(got.hash, want.hash);
   EXPECT_EQ(got.samples, want.samples);
   EXPECT_EQ(got.blocks, want.blocks);
-  ASSERT_EQ(got.iterations.size(), want.iterations.size());
-  for (std::size_t i = 0; i < want.iterations.size(); ++i) {
-    EXPECT_EQ(got.iterations[i].iteration, want.iterations[i].iteration);
-    EXPECT_EQ(got.iterations[i].start_t, want.iterations[i].start_t);
-    EXPECT_EQ(got.iterations[i].end_t, want.iterations[i].end_t);
-    EXPECT_EQ(got.iterations[i].attempts, want.iterations[i].attempts);
-    EXPECT_EQ(got.iterations[i].successes, want.iterations[i].successes);
-  }
+  ExpectIterationsEqual(got.iterations, want.iterations);
 }
 
 TEST(MergeFrontierTest, IncrementalPushMatchesPullMerge) {
@@ -142,7 +157,7 @@ TEST(MergeFrontierTest, IncrementalPushMatchesPullMerge) {
   ASSERT_GT(want.samples, 0u);
   ASSERT_EQ(want.iterations.size(), kIterations);
 
-  MergeFrontier frontier(kParts, kMachineCount, kBlockSamples);
+  MergeFrontier frontier(kParts, kBlockSamples);
   MergedDigest got;
   std::size_t recycled = 0;
   std::size_t appended = 0;
@@ -179,13 +194,58 @@ TEST(MergeFrontierTest, IncrementalPushMatchesPullMerge) {
   EXPECT_EQ(frontier.buffered_blocks(), 0u);
 }
 
+TEST(MergeFrontierTest, MatchesMergeTracesOracle) {
+  // The same part contents as MakePartStreams, one whole store per part.
+  std::vector<TraceStore> stores;
+  for (std::size_t p = 0; p < kParts; ++p) {
+    stores.push_back(MakePartStore(p, 0, p + 1 < kParts ? kIterations : 0));
+  }
+  const TraceStore want = MergeTraces(stores);
+  StoreReader want_reader(want);
+  const std::uint64_t want_hash = HashSampleStream(want_reader);
+  ASSERT_GT(want.size(), 0u);
+
+  MergeFrontier frontier(kParts, kBlockSamples);
+  const auto parts = MakePartStreams();
+  for (std::size_t p = 0; p < kParts; ++p) {
+    for (const TraceBlock& block : parts[p]) {
+      frontier.Append(p, std::make_unique<TraceBlock>(block));
+    }
+    frontier.FinishPart(p);
+  }
+  MergedDigest got;
+  // Re-intern each merged block's table in its own order, as a consumer
+  // materialising the stream does; that must give MergeTraces' table.
+  std::vector<std::string> users;
+  std::unordered_set<std::string> seen;
+  auto emit = [&](TraceBlock& block) {
+    got.Fold(block);
+    for (const std::string& user : block.users) {
+      if (seen.insert(user).second) users.push_back(user);
+    }
+  };
+  auto recycle = [&](std::size_t, std::unique_ptr<TraceBlock>) {};
+  while (!frontier.finished()) {
+    ASSERT_GT(frontier.Advance(MergeFrontier::EmitFn(emit),
+                               MergeFrontier::RecycleFn(recycle)),
+              0u);
+  }
+  got.iterations = frontier.TakeIterations();
+
+  EXPECT_EQ(got.hash, want_hash);
+  EXPECT_EQ(got.samples, want.size());
+  EXPECT_EQ(users,
+            std::vector<std::string>(want.users().begin(), want.users().end()));
+  ExpectIterationsEqual(got.iterations, want.iterations());
+}
+
 TEST(MergeFrontierTest, ParallelSortBatchMatchesPullMerge) {
   const auto parts = MakePartStreams();
   const MergedDigest want = PullReference(parts);
 
   // Everything buffered up front + out-of-order FinishPart, then a single
   // Advance with parallel per-front sorts over the full front backlog.
-  MergeFrontier frontier(kParts, kMachineCount, kBlockSamples);
+  MergeFrontier frontier(kParts, kBlockSamples);
   for (std::size_t p : {2u, 0u, 3u, 1u}) {
     for (const TraceBlock& block : parts[p]) {
       frontier.Append(p, std::make_unique<TraceBlock>(block));
@@ -209,7 +269,7 @@ TEST(MergeFrontierTest, BorrowedViewsMatchOwnedBlocks) {
   const auto parts = MakePartStreams();
   const MergedDigest want = PullReference(parts);
 
-  MergeFrontier frontier(kParts, kMachineCount, kBlockSamples);
+  MergeFrontier frontier(kParts, kBlockSamples);
   for (std::size_t p = 0; p < kParts; ++p) {
     for (const TraceBlock& block : parts[p]) frontier.AppendView(p, &block);
     frontier.FinishPart(p);
@@ -232,7 +292,7 @@ TEST(MergeFrontierTest, BorrowedViewsMatchOwnedBlocks) {
 
 TEST(MergeFrontierTest, StalledPartPointsAtTheBlockingStream) {
   const auto parts = MakePartStreams();
-  MergeFrontier frontier(kParts, kMachineCount, kBlockSamples);
+  MergeFrontier frontier(kParts, kBlockSamples);
   // Only part 1's stream is available: the first front cannot complete
   // and the frontier must name a part that has not delivered content.
   frontier.Append(1, std::make_unique<TraceBlock>(parts[1][0]));
@@ -250,8 +310,43 @@ TEST(MergeFrontierTest, StalledPartPointsAtTheBlockingStream) {
   EXPECT_TRUE(stalled == 0 || stalled == 2) << "stalled on " << stalled;
 }
 
+TEST(MergeFrontierTest, SessionRowWithoutUserMergesAsSessionFree) {
+  // Only a malformed input holds such rows (a checksummed but hand-made
+  // segment, a buggy writer); the merge must not look the missing user up.
+  auto block = std::make_unique<TraceBlock>(MakePartBlock(0, 0, 2));
+  std::size_t session_rows = 0;
+  for (std::size_t i = 0; i < block->size(); ++i) {
+    if (block->cols.has_session[i] == 0) continue;
+    block->cols.user_id[i] = TraceStore::kNoUser;
+    ++session_rows;
+  }
+  block->users.clear();
+  ASSERT_GT(session_rows, 0u);
+  const std::size_t rows = block->size();
+
+  MergeFrontier frontier(kParts, kBlockSamples);
+  frontier.Append(0, std::move(block));
+  for (std::size_t p = 0; p < kParts; ++p) frontier.FinishPart(p);
+  std::size_t merged = 0;
+  std::size_t merged_sessions = 0;
+  auto emit = [&](TraceBlock& out) {
+    EXPECT_TRUE(out.users.empty());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out.cols.user_id[i], TraceStore::kNoUser) << "row " << i;
+      merged_sessions += out.cols.has_session[i];
+    }
+    merged += out.size();
+  };
+  auto recycle = [&](std::size_t, std::unique_ptr<TraceBlock>) {};
+  frontier.Advance(MergeFrontier::EmitFn(emit),
+                   MergeFrontier::RecycleFn(recycle));
+  EXPECT_TRUE(frontier.finished());
+  EXPECT_EQ(merged, rows);
+  EXPECT_EQ(merged_sessions, session_rows);
+}
+
 TEST(MergeFrontierTest, AllPartsEmptyFinishesImmediately) {
-  MergeFrontier frontier(kParts, kMachineCount, kBlockSamples);
+  MergeFrontier frontier(kParts, kBlockSamples);
   for (std::size_t p = 0; p < kParts; ++p) frontier.FinishPart(p);
   MergedDigest got;
   auto emit = [&](TraceBlock& block) { got.Fold(block); };

@@ -229,6 +229,30 @@ TEST(SpillCodecTest, TrailingGarbageIsRejected) {
       << result.error();
 }
 
+TEST(SpillCodecTest, SessionRowWithoutUserIsRejected) {
+  // LMSG2 stores has_session and user_id as separate columns; a row with
+  // one but not the other is rejected, so the merge never meets a session
+  // row without a user.
+  TraceStore source(kMachines);
+  SampleRecord r;
+  r.machine = 1;
+  r.t = 100;
+  r.has_session = true;
+  r.session_logon = 40;
+  r.user = "alice";
+  source.Append(std::move(r));
+  TraceBlock decoded;
+  ASSERT_TRUE(Lmsg2().DecodeBlock(EncodeOne(source), kMachines, decoded).ok());
+
+  TraceStore bad(kMachines);  // same row, session flag kept, user dropped
+  bad.AppendFrom(source.columns(), 0, TraceStore::kNoUser);
+  ASSERT_EQ(bad.columns().has_session[0], 1);
+  auto result = Lmsg2().DecodeBlock(EncodeOne(bad), kMachines, decoded);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.error().find("disagree"), std::string::npos)
+      << result.error();
+}
+
 TEST(SpillCodecTest, BitFlipsFailOrPreserveStructure) {
   // Without the segment checksum a flipped bit may still decode (varint
   // payloads are dense), but it must never crash, hang, or produce a

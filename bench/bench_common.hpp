@@ -20,7 +20,6 @@
 
 #include "labmon/core/experiment.hpp"
 #include "labmon/core/report.hpp"
-#include "labmon/obs/span.hpp"
 #include "labmon/util/strings.hpp"
 
 namespace labmon::bench {
@@ -70,27 +69,16 @@ inline std::uint64_t PeakRssBytes() {
 /// 0-vs-0) when this is false.
 inline bool PeakRssSupported() { return PeakRssBytes() != 0; }
 
-/// RAII phase marker: wraps a bench phase ("run", "analyze", "render") in
-/// an obs span so traced bench runs show where the wall time went.
-class ScopedPhase {
- public:
-  explicit ScopedPhase(const std::string& name) : span_("bench." + name) {}
-
- private:
-  obs::Span span_;
-};
-
 /// Snapshot directory shared by the bench suite ("" = snapshots disabled).
 inline std::string SnapshotDir() {
   const char* env = std::getenv("LABMON_SNAPSHOT_DIR");
   return env != nullptr ? std::string(env) : std::string();
 }
 
-/// Runs the experiment under a "bench.experiment" span, replaying a
-/// snapshot when LABMON_SNAPSHOT_DIR holds one for this config.
+/// Runs the experiment, replaying a snapshot when LABMON_SNAPSHOT_DIR
+/// holds one for this config.
 inline core::ExperimentResult RunExperiment(
     const core::ExperimentConfig& config) {
-  ScopedPhase phase("experiment");
   return core::Experiment::RunCached(config, SnapshotDir());
 }
 

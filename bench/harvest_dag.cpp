@@ -114,7 +114,6 @@ int main() {
   const int mix_days = std::min(bench::BenchDays(), 7);
 
   // ---- 1. Figure 6 cross-check -------------------------------------------
-  bench::ScopedPhase phase("harvest_dag");
   const auto total = EquivalenceRun(/*use_occupied=*/true, seed);
   const auto free_only = EquivalenceRun(/*use_occupied=*/false, seed);
   const auto fig6_total = bench::CompareWithFig6(

@@ -45,7 +45,6 @@
 #include "labmon/obs/exporters.hpp"
 #include "labmon/obs/prof.hpp"
 #include "labmon/obs/registry.hpp"
-#include "labmon/obs/span.hpp"
 #include "labmon/trace/binary_io.hpp"
 #include "labmon/trace/block.hpp"
 #include "labmon/util/csv.hpp"
@@ -532,10 +531,8 @@ int main() {
 
   // ---- BENCH_prof_trace.json (chrome://tracing timeline) ---------------
   {
-    obs::Tracer tracer(last_report.records.size() + 16);
-    obs::prof::AppendSpans(last_report, tracer);
     std::ofstream trace_out("BENCH_prof_trace.json");
-    obs::WriteChromeTrace(tracer, trace_out);
+    obs::WriteChromeTrace(last_report, trace_out);
     if (!trace_out) {
       std::cerr << "failed to write BENCH_prof_trace.json\n";
       return 1;

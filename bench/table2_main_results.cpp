@@ -7,10 +7,7 @@ int main() {
   using namespace labmon;
   bench::Banner("Table 2: main results (No login / With login / Both)");
   const auto result = bench::RunExperiment(bench::BenchConfig());
-  const core::Report report = [&] {
-    bench::ScopedPhase phase("analyze");
-    return core::Report(result);
-  }();
+  const core::Report report(result);
   std::cout << report.Table2() << '\n';
   const auto& t2 = report.table2();
   std::cout << "raw login samples (pre 10-h rule): "

@@ -65,14 +65,22 @@
 // --metrics-out wires the collector into the obs default registry and
 // writes a Prometheus text file plus a campaign health report (response
 // rate per lab, iteration-overrun distribution — the paper's 6,883-vs-7,392
-// effect made visible). --trace-out enables span tracing and writes a
-// Chrome trace_event JSON loadable in chrome://tracing / Perfetto.
-// --events-out writes the JSONL event stream (log lines + spans + metrics).
+// effect made visible).
 //
-// --prof-out PATH enables the obs::prof profiler for the whole run and
-// writes the per-shard x per-phase wall/allocation report to PATH plus a
-// chrome://tracing timeline next to it (PATH with a "_trace.json" suffix).
-// Profiling never changes the collected trace (bit-identical on or off).
+// --trace-out, --events-out and --prof-out share one obs::prof profiler
+// run: any of them enables it for the whole run, and one drain of its
+// per-thread logs feeds all three. --trace-out writes a Chrome
+// trace_event JSON (named spans such as "coordinator.iteration" with
+// their simulated-time ranges, plus the profiler's "prof.<phase>"
+// records) loadable in chrome://tracing / Perfetto. --events-out writes
+// the JSONL event stream (log lines + the same records + metrics).
+// --prof-out PATH writes the per-shard x per-phase wall/allocation report
+// to PATH plus the timeline next to it (PATH with a "_trace.json"
+// suffix). Profiling never changes the collected trace (bit-identical on
+// or off).
+//
+// The positional days must lie in [1, 10000] and the seed must be a
+// non-negative integer; anything else is refused.
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -205,6 +213,89 @@ bool WriteFileOrComplain(const std::string& path,
   return true;
 }
 
+/// Where the exporters write ("" = not requested).
+struct ExportPaths {
+  std::string metrics;
+  std::string trace;
+  std::string events;
+  std::string prof;
+
+  /// Whether the profiler must run: every output but --metrics-out reads it.
+  [[nodiscard]] bool Profiled() const {
+    return !trace.empty() || !events.empty() || !prof.empty();
+  }
+};
+
+/// The exporter tail both engines share: metrics and the health report,
+/// then one profiler drain feeding --trace-out, --prof-out (+ its
+/// timeline) and the --events-out stream. A non-empty `pipeline_json`
+/// (streaming engine) wraps the profile as {"prof": ..., "pipeline": ...}.
+/// False when an output could not be written.
+bool WriteExports(const ExportPaths& paths, obs::JsonlWriter* events,
+                  const std::string& pipeline_json) {
+  if (!paths.metrics.empty()) {
+    if (!WriteFileOrComplain(paths.metrics, [](std::ostream& out) {
+          obs::WritePrometheus(obs::DefaultRegistry(), out);
+        })) {
+      return false;
+    }
+    std::cout << '\n' << CampaignHealthReport(obs::DefaultRegistry());
+    std::cout << "metrics written to " << paths.metrics << '\n';
+  }
+  if (!paths.Profiled()) return true;
+  const obs::prof::Report prof_report = obs::prof::Drain();
+  obs::prof::Disable();
+  if (!paths.trace.empty()) {
+    if (!WriteFileOrComplain(paths.trace, [&](std::ostream& out) {
+          obs::WriteChromeTrace(prof_report, out);
+        })) {
+      return false;
+    }
+    std::cout << "chrome trace written to " << paths.trace
+              << " (open in chrome://tracing or ui.perfetto.dev; "
+              << prof_report.records.size() << " records, "
+              << prof_report.dropped_records << " dropped)\n";
+  }
+  if (!paths.prof.empty()) {
+    if (!WriteFileOrComplain(paths.prof, [&](std::ostream& out) {
+          if (pipeline_json.empty()) {
+            out << obs::prof::ReportJson(prof_report) << '\n';
+          } else {
+            out << "{\"prof\": " << obs::prof::ReportJson(prof_report)
+                << ",\n \"pipeline\": " << pipeline_json << "}\n";
+          }
+        })) {
+      return false;
+    }
+    // Timeline next to the report: prof.json -> prof_trace.json.
+    std::string prof_trace_path = paths.prof;
+    if (const auto dot = prof_trace_path.rfind(".json");
+        dot != std::string::npos && dot == prof_trace_path.size() - 5) {
+      prof_trace_path.insert(dot, "_trace");
+    } else {
+      prof_trace_path += "_trace.json";
+    }
+    if (!WriteFileOrComplain(prof_trace_path, [&](std::ostream& out) {
+          obs::WriteChromeTrace(prof_report, out);
+        })) {
+      return false;
+    }
+    std::cout << "profile written to " << paths.prof << " ("
+              << prof_report.rows.size() << " shard-phase rows, "
+              << prof_report.records.size() << " timeline records, "
+              << prof_report.dropped_records
+              << " dropped), timeline to " << prof_trace_path << '\n';
+  }
+  if (events != nullptr) {
+    obs::WriteSpansJsonl(prof_report, *events);
+    obs::WriteMetricsJsonl(obs::DefaultRegistry(), *events);
+    util::log::SetSink({});  // detach before the writer goes away
+    std::cout << "event stream written to " << paths.events << " ("
+              << events->events() << " events)\n";
+  }
+  return true;
+}
+
 /// Upper bound of the integer flags (--retry feeds an int).
 constexpr std::int64_t kMaxCount = std::numeric_limits<std::int32_t>::max();
 
@@ -227,10 +318,7 @@ bool ParseCountFlag(const char* flag, const char* value, std::size_t& out) {
 int main(int argc, char** argv) {
   util::log::SetLevel(util::log::Level::kInfo);
 
-  std::string metrics_out;
-  std::string trace_out;
-  std::string events_out;
-  std::string prof_out;
+  ExportPaths exports;
   std::string snapshot_dir;
   std::string fault_plan_path;
   int retry_attempts = 0;
@@ -260,13 +348,13 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (const char* v = flag_value("--metrics-out")) {
-      metrics_out = v;
+      exports.metrics = v;
     } else if (const char* v = flag_value("--trace-out")) {
-      trace_out = v;
+      exports.trace = v;
     } else if (const char* v = flag_value("--events-out")) {
-      events_out = v;
+      exports.events = v;
     } else if (const char* v = flag_value("--prof-out")) {
-      prof_out = v;
+      exports.prof = v;
     } else if (const char* v = flag_value("--snapshot-dir")) {
       snapshot_dir = v;
     } else if (const char* v = flag_value("--workers")) {
@@ -283,11 +371,22 @@ int main(int argc, char** argv) {
       }
       retry_attempts = static_cast<int>(*parsed);
     } else if (const char* v = flag_value("--shards")) {
-      // 0 = auto (one per core); clamp nonsense values instead of dying —
-      // the shard count cannot change the output anyway.
-      shards = std::clamp(std::atoi(v), 0, 1024);
+      // 0 = auto (one per core); clamp out-of-range integers instead of
+      // dying — the shard count cannot change the output anyway.
+      const auto parsed = util::ParseInt64(v);
+      if (!parsed) {
+        std::cerr << "--shards wants an integer, got \"" << v << "\"\n";
+        return 1;
+      }
+      shards = static_cast<int>(std::clamp<std::int64_t>(*parsed, 0, 1024));
     } else if (const char* v = flag_value("--scale-labs")) {
-      scale_labs = std::clamp(std::atoi(v), 1, 1024);
+      const auto parsed = util::ParseInt64(v);
+      if (!parsed) {
+        std::cerr << "--scale-labs wants an integer, got \"" << v << "\"\n";
+        return 1;
+      }
+      scale_labs = static_cast<int>(
+          std::clamp<std::int64_t>(*parsed, 1, workload::kMaxScaleLabs));
     } else if (arg == "--stream") {
       stream = true;
     } else if (arg == "--resume") {
@@ -353,6 +452,25 @@ int main(int argc, char** argv) {
     }
   }
 
+  core::ExperimentConfig config;
+  if (positional.size() > 1) {
+    const auto days = util::ParseInt64(positional[1]);
+    if (!days || *days < 1 || *days > workload::kMaxDays) {
+      std::cerr << "days wants an integer in [1, " << workload::kMaxDays
+                << "], got \"" << positional[1] << "\"\n";
+      return 1;
+    }
+    config.campus.days = static_cast<int>(*days);
+  }
+  if (positional.size() > 2) {
+    const auto seed = util::ParseInt64(positional[2]);
+    if (!seed || *seed < 0) {
+      std::cerr << "seed wants a non-negative integer, got \""
+                << positional[2] << "\"\n";
+      return 1;
+    }
+    config.campus.seed = static_cast<std::uint64_t>(*seed);
+  }
   const std::string out_dir = !positional.empty() ? positional[0] : "report_out";
   // Create the output directory up front: exporter files (--events-out
   // etc.) commonly point inside it and are opened before the CSV writer
@@ -364,12 +482,6 @@ int main(int argc, char** argv) {
       std::cerr << "cannot create directory: " << out_dir << '\n';
       return 1;
     }
-  }
-  core::ExperimentConfig config;
-  if (positional.size() > 1) config.campus.days = std::atoi(positional[1].c_str());
-  if (positional.size() > 2) {
-    config.campus.seed =
-        static_cast<std::uint64_t>(std::atoll(positional[2].c_str()));
   }
   if (positional.size() > 3) {
     auto loaded = workload::LoadCampusConfig(positional[3], config.campus);
@@ -458,20 +570,16 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Observability wiring: metrics registry, span tracer, JSONL log capture.
-  if (!metrics_out.empty()) {
+  // Observability wiring: metrics registry, JSONL log capture, profiler.
+  if (!exports.metrics.empty()) {
     config.collector.metrics = &obs::DefaultRegistry();
-  }
-  if (!trace_out.empty() || !events_out.empty()) {
-    obs::DefaultTracer().set_enabled(true);
-    config.collector.tracer = &obs::DefaultTracer();
   }
   std::ofstream events_file;
   std::unique_ptr<obs::JsonlWriter> events;
-  if (!events_out.empty()) {
-    events_file.open(events_out, std::ios::binary);
+  if (!exports.events.empty()) {
+    events_file.open(exports.events, std::ios::binary);
     if (!events_file) {
-      std::cerr << "cannot open " << events_out << " for writing\n";
+      std::cerr << "cannot open " << exports.events << " for writing\n";
       return 1;
     }
     events = std::make_unique<obs::JsonlWriter>(events_file);
@@ -483,7 +591,7 @@ int main(int argc, char** argv) {
     });
   }
 
-  if (!prof_out.empty()) obs::prof::Enable();
+  if (exports.Profiled()) obs::prof::Enable();
 
   if (stream) {
     core::StreamingOptions streaming;
@@ -585,41 +693,18 @@ int main(int argc, char** argv) {
                 << streamed.anomaly_observations
                 << " observations) written to " << anomalies_path << '\n';
     }
-    if (!metrics_out.empty()) {
-      if (!WriteFileOrComplain(metrics_out, [](std::ostream& out) {
-            obs::WritePrometheus(obs::DefaultRegistry(), out);
-          })) {
-        return 1;
-      }
-      std::cout << '\n' << CampaignHealthReport(obs::DefaultRegistry());
-      std::cout << "metrics written to " << metrics_out << '\n';
-    }
-    if (!prof_out.empty()) {
-      const obs::prof::Report prof_report = obs::prof::Drain();
-      obs::prof::Disable();
-      if (!WriteFileOrComplain(prof_out, [&](std::ostream& out) {
-            out << "{\"prof\": " << obs::prof::ReportJson(prof_report)
-                << ",\n \"pipeline\": "
-                << PipelineStatsJson(streamed.pipeline) << "}\n";
-          })) {
-        return 1;
-      }
-      std::cout << "profile written to " << prof_out << '\n';
-    }
-    if (events) {
-      obs::WriteSpansJsonl(obs::DefaultTracer(), *events);
-      obs::WriteMetricsJsonl(obs::DefaultRegistry(), *events);
-      util::log::SetSink({});
-      std::cout << "event stream written to " << events_out << " ("
-                << events->events() << " events)\n";
-    }
-    return 0;
+    return WriteExports(exports, events.get(),
+                        PipelineStatsJson(streamed.pipeline))
+               ? 0
+               : 1;
   }
 
   const auto result = core::Experiment::RunCached(config, snapshot_dir);
   core::ReportOptions report_options;
   report_options.workers = workers;
-  if (!metrics_out.empty()) report_options.metrics = &obs::DefaultRegistry();
+  if (!exports.metrics.empty()) {
+    report_options.metrics = &obs::DefaultRegistry();
+  }
   const core::Report report(result, report_options);
 
   std::cout << report.FullReport() << '\n';
@@ -679,62 +764,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (!metrics_out.empty()) {
-    if (!WriteFileOrComplain(metrics_out, [](std::ostream& out) {
-          obs::WritePrometheus(obs::DefaultRegistry(), out);
-        })) {
-      return 1;
-    }
-    std::cout << '\n' << CampaignHealthReport(obs::DefaultRegistry());
-    std::cout << "metrics written to " << metrics_out << '\n';
-  }
-  if (!trace_out.empty()) {
-    if (!WriteFileOrComplain(trace_out, [](std::ostream& out) {
-          obs::WriteChromeTrace(obs::DefaultTracer(), out);
-        })) {
-      return 1;
-    }
-    std::cout << "chrome trace written to " << trace_out
-              << " (open in chrome://tracing or ui.perfetto.dev; "
-              << obs::DefaultTracer().size() << " spans, "
-              << obs::DefaultTracer().dropped() << " dropped)\n";
-  }
-  if (!prof_out.empty()) {
-    const obs::prof::Report prof_report = obs::prof::Drain();
-    obs::prof::Disable();
-    if (!WriteFileOrComplain(prof_out, [&](std::ostream& out) {
-          out << obs::prof::ReportJson(prof_report) << '\n';
-        })) {
-      return 1;
-    }
-    // Timeline next to the report: prof.json -> prof_trace.json.
-    std::string prof_trace_path = prof_out;
-    if (const auto dot = prof_trace_path.rfind(".json");
-        dot != std::string::npos && dot == prof_trace_path.size() - 5) {
-      prof_trace_path.insert(dot, "_trace");
-    } else {
-      prof_trace_path += "_trace.json";
-    }
-    obs::Tracer prof_tracer(prof_report.records.size() + 16);
-    obs::prof::AppendSpans(prof_report, prof_tracer);
-    if (!WriteFileOrComplain(prof_trace_path, [&](std::ostream& out) {
-          obs::WriteChromeTrace(prof_tracer, out);
-        })) {
-      return 1;
-    }
-    std::cout << "profile written to " << prof_out << " ("
-              << prof_report.rows.size() << " shard-phase rows, "
-              << prof_report.records.size() << " timeline records, "
-              << prof_report.dropped_records
-              << " dropped), timeline to " << prof_trace_path << '\n';
-  }
-  if (events) {
-    obs::WriteSpansJsonl(obs::DefaultTracer(), *events);
-    obs::WriteMetricsJsonl(obs::DefaultRegistry(), *events);
-    util::log::SetSink({});  // detach before the writer goes away
-    std::cout << "event stream written to " << events_out << " ("
-              << events->events() << " events)\n";
-  }
+  if (!WriteExports(exports, events.get(), /*pipeline_json=*/"")) return 1;
 
   std::cout << "figure data written to " << out_dir
             << "/, full trace to " << trace_path

@@ -1,6 +1,6 @@
 #include "labmon/analysis/equivalence.hpp"
 
-#include "labmon/obs/span.hpp"
+#include "labmon/obs/prof.hpp"
 
 #include <cassert>
 

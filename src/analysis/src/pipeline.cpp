@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
-#include "labmon/obs/span.hpp"
+#include "labmon/obs/prof.hpp"
 #include "labmon/util/parallel.hpp"
 
 namespace labmon::analysis {

@@ -1,6 +1,6 @@
 #include "labmon/analysis/session_hours.hpp"
 
-#include "labmon/obs/span.hpp"
+#include "labmon/obs/prof.hpp"
 
 #include <algorithm>
 #include <limits>

@@ -1,6 +1,6 @@
 #include "labmon/analysis/stability.hpp"
 
-#include "labmon/obs/span.hpp"
+#include "labmon/obs/prof.hpp"
 
 #include "labmon/stats/running_stats.hpp"
 #include "labmon/util/strings.hpp"

@@ -1,6 +1,6 @@
 #include "labmon/analysis/weekly.hpp"
 
-#include "labmon/obs/span.hpp"
+#include "labmon/obs/prof.hpp"
 
 #include "labmon/trace/intervals.hpp"
 #include "labmon/util/strings.hpp"

@@ -19,8 +19,8 @@
 //
 // Fingerprint scheme: FNV-1a over every behaviour-affecting field of the
 // ExperimentConfig (campus models, collector schedule/policy/seed, prior
-// life) plus kSnapshotFormatVersion. Output-invariant knobs (metrics,
-// tracer, the structured fast path) are deliberately excluded. Any config
+// life) plus kSnapshotFormatVersion. Output-invariant knobs (metrics, the
+// structured fast path) are deliberately excluded. Any config
 // edit or format bump therefore keys a different file; stale files are
 // never silently reused.
 //

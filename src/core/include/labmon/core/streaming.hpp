@@ -104,12 +104,12 @@ struct SpillCompressionStats {
   std::uint64_t samples_encoded = 0;
   std::uint64_t raw_bytes_encoded = 0;      ///< columnar in-memory footprint
   std::uint64_t payload_bytes_encoded = 0;  ///< encoded payload bytes
-  double encode_s = 0.0;
+  double encode_s = 0.0;  ///< thread CPU seconds in EncodeBlock
   std::uint64_t blocks_decoded = 0;
   std::uint64_t samples_decoded = 0;
   std::uint64_t raw_bytes_decoded = 0;
   std::uint64_t payload_bytes_decoded = 0;
-  double decode_s = 0.0;
+  double decode_s = 0.0;  ///< thread CPU seconds in DecodeBlock
 
   /// Raw columnar bytes per encoded payload byte (0 when nothing spilled).
   [[nodiscard]] double CompressionRatio() const noexcept {

@@ -11,7 +11,6 @@
 #include "labmon/core/streaming.hpp"
 #include "labmon/obs/prof.hpp"
 #include "labmon/obs/registry.hpp"
-#include "labmon/obs/span.hpp"
 #include "labmon/util/log.hpp"
 #include "lab_run.hpp"
 

@@ -8,7 +8,6 @@
 
 #include "labmon/core/snapshot.hpp"
 #include "labmon/obs/prof.hpp"
-#include "labmon/obs/span.hpp"
 #include "labmon/util/log.hpp"
 #include "labmon/util/parallel.hpp"
 #include "labmon/winsim/paper_specs.hpp"

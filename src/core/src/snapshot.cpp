@@ -159,7 +159,7 @@ void MixCampus(Fingerprinter& fp, const workload::CampusConfig& c) {
 }
 
 void MixCollector(Fingerprinter& fp, const ddc::CoordinatorConfig& c) {
-  // metrics/tracer and the structured fast path are output-invariant and
+  // metrics and the structured fast path are output-invariant and
   // deliberately excluded.
   fp.MixInt(c.period);
   fp.MixInt(static_cast<int>(c.mode));

@@ -45,7 +45,6 @@
 #include "labmon/core/streaming.hpp"
 #include "labmon/obs/prof.hpp"
 #include "labmon/obs/registry.hpp"
-#include "labmon/obs/span.hpp"
 #include "labmon/trace/merge_frontier.hpp"
 #include "labmon/util/log.hpp"
 #include "labmon/util/parallel.hpp"

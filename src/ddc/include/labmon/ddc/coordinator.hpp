@@ -26,7 +26,6 @@
 #include "labmon/ddc/probe.hpp"
 #include "labmon/ddc/w32_probe.hpp"
 #include "labmon/obs/registry.hpp"
-#include "labmon/obs/span.hpp"
 #include "labmon/util/function_ref.hpp"
 #include "labmon/util/rng.hpp"
 #include "labmon/util/time.hpp"
@@ -106,9 +105,6 @@ struct CoordinatorConfig {
   /// counters, latency histograms, iteration-overrun gauges). Null opts the
   /// hot path out of instrumentation entirely.
   obs::Registry* metrics = nullptr;
-  /// Tracer receiving "coordinator.iteration"/"executor.execute" spans.
-  /// Null (or a disabled tracer) records nothing.
-  obs::Tracer* tracer = nullptr;
   /// In-process structured fast path: successful probes fill a W32Sample
   /// directly instead of rendering stdout text that the sink re-parses.
   /// Off by default — sinks that consume raw stdout (e.g. OutputArchive)

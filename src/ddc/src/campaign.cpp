@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "labmon/obs/span.hpp"
+#include "labmon/obs/prof.hpp"
 
 namespace labmon::ddc {
 

@@ -128,7 +128,6 @@ void Coordinator::Tally(std::size_t machine_index,
 ExecOutcome Coordinator::ExecuteOne(std::size_t machine_index,
                                     util::SimTime t,
                                     bool* structured_filled) {
-  obs::Span span("executor.execute", config_.tracer);
   // Hot path (one call per probe attempt): sampled, not timed in full,
   // to stay inside the profiler's overhead budget.
   obs::prof::SampledPhaseScope prof_scope(obs::prof::Phase::kProbe);
@@ -146,10 +145,6 @@ ExecOutcome Coordinator::ExecuteOne(std::size_t machine_index,
     if (*structured_filled) ++structured_ok_;
   } else {
     outcome = executor_.Execute(probe_, fleet_.machine(machine_index), t);
-  }
-  if (span.active()) {
-    span.SetSimRange(
-        t, t + static_cast<util::SimTime>(std::llround(outcome.latency_s)));
   }
   return outcome;
 }
@@ -269,7 +264,7 @@ void Coordinator::StepUntil(util::SimTime until) {
     }
     util::SimTime iteration_end;
     {
-      obs::Span span("coordinator.iteration", config_.tracer);
+      obs::Span span("coordinator.iteration");
       iteration_end =
           config_.mode == CoordinatorConfig::Mode::kSequential
               ? RunIterationSequential(iterations_done_, iteration_start_)

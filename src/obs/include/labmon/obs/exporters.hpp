@@ -1,4 +1,4 @@
-// Exporters — turn a Registry / Tracer into external formats:
+// Exporters — turn a Registry / profiler Report into external formats:
 //  * Prometheus text exposition (metrics scrape / file inspection),
 //  * Chrome trace_event JSON (open in chrome://tracing or Perfetto),
 //  * JSONL event stream (spans + metrics as line-delimited JSON).
@@ -7,8 +7,8 @@
 #include <ostream>
 
 #include "labmon/obs/jsonl.hpp"
+#include "labmon/obs/prof.hpp"
 #include "labmon/obs/registry.hpp"
-#include "labmon/obs/span.hpp"
 
 namespace labmon::obs {
 
@@ -17,15 +17,18 @@ namespace labmon::obs {
 /// Deterministic: families in name order, series in label order.
 void WritePrometheus(const Registry& registry, std::ostream& out);
 
-/// Chrome trace_event JSON. Spans become "X" (complete) events on two
-/// synthetic processes: pid 1 carries the wall-clock timeline, and spans
-/// with a sim range are mirrored on pid 2 where 1 simulated second is
-/// rendered as 1 second (ts/dur in microseconds). Load the file in
-/// chrome://tracing or https://ui.perfetto.dev.
-void WriteChromeTrace(const Tracer& tracer, std::ostream& out);
+/// Chrome trace_event JSON. Every timeline record becomes an "X"
+/// (complete) event on two synthetic processes: pid 1 carries the
+/// wall-clock timeline, and records with a sim range are mirrored on pid 2
+/// where 1 simulated second is rendered as 1 second (ts/dur in
+/// microseconds). A Span keeps its name; a phase record is named
+/// "prof.<phase>", with "/shardN" when it ran inside a shard. Load the
+/// file in chrome://tracing or https://ui.perfetto.dev.
+void WriteChromeTrace(const prof::Report& report, std::ostream& out);
 
-/// Appends every retained span as a {"type":"span",...} event.
-void WriteSpansJsonl(const Tracer& tracer, JsonlWriter& writer);
+/// Appends every timeline record, named as above, as a
+/// {"type":"span",...} event.
+void WriteSpansJsonl(const prof::Report& report, JsonlWriter& writer);
 
 /// Appends the registry snapshot as {"type":"metric",...} events
 /// (histograms dump count/sum/mean, not individual buckets).

@@ -1,8 +1,9 @@
 // labmon::obs::prof — always-available, shard-aware profiler.
 //
-// The obs registry answers "how often"; spans answer "when". This layer
-// answers "where did the wall time and the bytes go, per shard, per
-// phase" — cheaply enough to leave compiled in everywhere:
+// The obs registry answers "how often"; this layer answers "when" and
+// "where did the wall time and the bytes go, per shard, per phase" —
+// cheaply enough to leave compiled in everywhere. It is labmon's only
+// timing recorder:
 //
 //  * Phase timers: RAII PhaseScope tags a region with a Phase (simulate /
 //    probe / collect / merge / analysis / ...). Each thread owns a private
@@ -16,6 +17,11 @@
 //    the per-machine-sample probe/advance path stays within the <= 2%
 //    overhead budget; the phase *shares* it reports are unbiased because
 //    the ~200k machine-samples per run are statistically homogeneous.
+//  * Named spans: Span ("coordinator.iteration", "analysis.table2") writes
+//    one named record, optionally with a simulation-time range, into the
+//    same per-thread ring. Spans are timeline-only: they never touch the
+//    aggregates, so every per-phase number is the same with or without
+//    them.
 //  * Shard attribution: ShardScope sets the thread's current shard id;
 //    scopes opened inside it are attributed to that shard.
 //  * Allocation accounting: the library interposes global operator
@@ -28,8 +34,8 @@
 //    histograms (labmon_prof_queue_wait_seconds /
 //    labmon_prof_barrier_wait_seconds).
 //
-// When disabled (the default), a PhaseScope costs one relaxed atomic load
-// and a branch; the allocation tallies are two thread-local increments per
+// When disabled (the default), a PhaseScope or Span costs one relaxed
+// atomic load and a branch; the allocation tallies are two thread-local increments per
 // new/delete. Enable() is not thread-safe against concurrently open
 // scopes — flip it between runs, not during one.
 //
@@ -43,9 +49,7 @@
 #include <string>
 #include <vector>
 
-namespace labmon::obs {
-class Tracer;
-}  // namespace labmon::obs
+#include "labmon/util/time.hpp"
 
 namespace labmon::obs::prof {
 
@@ -188,12 +192,46 @@ class SampledPhaseScope {
   std::uint64_t allocs0_ = 0;
 };
 
-/// One timeline record (ring entry).
+/// Timeline-only named scope. When the profiler is enabled at
+/// construction, destruction writes one Record carrying `name` (and the
+/// simulation range, if set) into the calling thread's ring. A Span never
+/// joins the PhaseScope chain and never touches the per-(shard, phase)
+/// aggregates: an enclosing PhaseScope's self time still includes it.
+/// Depth counts the enclosing Spans on this thread.
+class Span {
+ public:
+  /// `name` must be a string literal: records keep the pointer.
+  explicit Span(const char* name) noexcept;
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
+  ~Span();
+
+  /// Attaches the simulation-time range the span covers.
+  void SetSimRange(util::SimTime start, util::SimTime end) noexcept {
+    sim_start_ = start;
+    sim_end_ = end;
+  }
+  [[nodiscard]] bool active() const noexcept { return log_ != nullptr; }
+
+ private:
+  detail::ThreadLog* log_ = nullptr;  ///< null = disabled at construction
+  const char* name_ = nullptr;
+  util::SimTime sim_start_ = -1;
+  util::SimTime sim_end_ = -1;
+  std::uint64_t start_ns_ = 0;
+  std::uint32_t shard_ = kNoShard;
+  std::uint8_t depth_ = 0;
+};
+
+/// One timeline record (ring entry): a phase scope, or a named Span.
 struct Record {
   std::uint64_t start_ns = 0;  ///< since profiler epoch (Enable time)
   std::uint64_t dur_ns = 0;
   std::uint64_t self_ns = 0;
   std::uint64_t alloc_bytes = 0;  ///< self (children excluded)
+  const char* name = nullptr;     ///< Span name; null for a phase record
+  util::SimTime sim_start = -1;   ///< Span simulation range; -1 = unset
+  util::SimTime sim_end = -1;
   std::uint32_t alloc_count = 0;
   std::uint32_t shard = kNoShard;
   std::uint32_t thread = 0;  ///< dense per-process log ordinal
@@ -228,14 +266,13 @@ struct Report {
 /// Aggregates every thread log (live and retired). Does not clear.
 [[nodiscard]] Report Drain();
 
-/// Replays the report's timeline records into `tracer` as completed spans
-/// named "prof.<phase>" (shard in the name when set), so the existing
-/// Chrome-trace exporter renders profiler output directly.
-void AppendSpans(const Report& report, Tracer& tracer);
-
 /// Renders the report as a JSON object fragment:
 ///   {"dropped_records":N,"thread_logs":N,"phases":[{...},...]}
 /// (no trailing newline; embeddable in a larger document).
 [[nodiscard]] std::string ReportJson(const Report& report);
 
 }  // namespace labmon::obs::prof
+
+namespace labmon::obs {
+using prof::Span;
+}  // namespace labmon::obs

@@ -63,18 +63,29 @@ std::string JsonEscape(std::string_view s) {
   return out;
 }
 
-void WriteChromeEvent(std::ostream& out, const SpanRecord& span, int pid,
-                      std::uint64_t ts, std::uint64_t dur, bool& first) {
+/// The span name, or "prof.<phase>[/shardN]" for a phase record.
+std::string RecordName(const prof::Record& record) {
+  if (record.name != nullptr) return record.name;
+  std::string name = std::string("prof.") + prof::PhaseName(record.phase);
+  if (record.shard != prof::kNoShard) {
+    name += "/shard" + std::to_string(record.shard);
+  }
+  return name;
+}
+
+void WriteChromeEvent(std::ostream& out, const std::string& name,
+                      const prof::Record& record, int pid, std::uint64_t ts,
+                      std::uint64_t dur, bool& first) {
   if (!first) out << ",\n";
   first = false;
-  out << "{\"name\":\"" << JsonEscape(span.name)
+  out << "{\"name\":\"" << JsonEscape(name)
       << "\",\"cat\":\"labmon\",\"ph\":\"X\",\"ts\":" << ts
       << ",\"dur\":" << dur << ",\"pid\":" << pid
-      << ",\"tid\":" << span.thread_id << ",\"args\":{\"depth\":"
-      << span.depth;
-  if (span.sim_start >= 0) {
-    out << ",\"sim_start\":" << span.sim_start
-        << ",\"sim_end\":" << span.sim_end;
+      << ",\"tid\":" << record.thread << ",\"args\":{\"depth\":"
+      << static_cast<unsigned>(record.depth);
+  if (record.sim_start >= 0) {
+    out << ",\"sim_start\":" << record.sim_start
+        << ",\"sim_end\":" << record.sim_end;
   }
   out << "}}";
 }
@@ -123,20 +134,21 @@ void WritePrometheus(const Registry& registry, std::ostream& out) {
   }
 }
 
-void WriteChromeTrace(const Tracer& tracer, std::ostream& out) {
+void WriteChromeTrace(const prof::Report& report, std::ostream& out) {
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   bool first = true;
   WriteProcessName(out, 1, "labmon wall clock", first);
   WriteProcessName(out, 2, "labmon sim clock", first);
-  for (const auto& span : tracer.Snapshot()) {
-    WriteChromeEvent(out, span, /*pid=*/1, span.start_us, span.duration_us,
-                     first);
-    if (span.sim_start >= 0 && span.sim_end >= span.sim_start) {
+  for (const prof::Record& record : report.records) {
+    const std::string name = RecordName(record);
+    WriteChromeEvent(out, name, record, /*pid=*/1, record.start_ns / 1000,
+                     record.dur_ns / 1000, first);
+    if (record.sim_start >= 0 && record.sim_end >= record.sim_start) {
       // Mirror on the sim timeline: 1 simulated second = 1 rendered second.
       WriteChromeEvent(
-          out, span, /*pid=*/2,
-          static_cast<std::uint64_t>(span.sim_start) * 1000000u,
-          static_cast<std::uint64_t>(span.sim_end - span.sim_start) *
+          out, name, record, /*pid=*/2,
+          static_cast<std::uint64_t>(record.sim_start) * 1000000u,
+          static_cast<std::uint64_t>(record.sim_end - record.sim_start) *
               1000000u,
           first);
     }
@@ -144,17 +156,17 @@ void WriteChromeTrace(const Tracer& tracer, std::ostream& out) {
   out << "\n]}\n";
 }
 
-void WriteSpansJsonl(const Tracer& tracer, JsonlWriter& writer) {
-  for (const auto& span : tracer.Snapshot()) {
+void WriteSpansJsonl(const prof::Report& report, JsonlWriter& writer) {
+  for (const prof::Record& record : report.records) {
     writer.Begin("span")
-        .Field("name", span.name)
-        .Field("start_us", span.start_us)
-        .Field("duration_us", span.duration_us)
-        .Field("thread", static_cast<std::uint64_t>(span.thread_id))
-        .Field("depth", static_cast<std::uint64_t>(span.depth));
-    if (span.sim_start >= 0) {
-      writer.Field("sim_start", static_cast<std::int64_t>(span.sim_start))
-          .Field("sim_end", static_cast<std::int64_t>(span.sim_end));
+        .Field("name", RecordName(record))
+        .Field("start_us", record.start_ns / 1000)
+        .Field("duration_us", record.dur_ns / 1000)
+        .Field("thread", static_cast<std::uint64_t>(record.thread))
+        .Field("depth", static_cast<std::uint64_t>(record.depth));
+    if (record.sim_start >= 0) {
+      writer.Field("sim_start", static_cast<std::int64_t>(record.sim_start))
+          .Field("sim_end", static_cast<std::int64_t>(record.sim_end));
     }
     writer.End();
   }

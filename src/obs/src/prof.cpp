@@ -10,7 +10,6 @@
 #include <new>
 
 #include "labmon/obs/registry.hpp"
-#include "labmon/obs/span.hpp"
 #include "labmon/util/parallel.hpp"
 #include "labmon/util/strings.hpp"
 
@@ -29,6 +28,7 @@ thread_local std::uint64_t t_alloc_count = 0;
 
 thread_local std::uint32_t t_shard = kNoShard;
 thread_local PhaseScope* t_open = nullptr;
+thread_local std::uint8_t t_span_depth = 0;
 thread_local std::uint32_t t_hot_tick[kPhaseCount] = {};
 
 struct PhaseTotals {
@@ -147,6 +147,21 @@ void ParallelObserverFn(const util::ParallelRegionStats& stats) {
       .Increment();
 }
 
+/// Writes a timeline record into the log's ring (drop-oldest, never
+/// blocks; the drop is counted).
+void AppendRecord(ThreadLog* log, const Record& record) {
+  if (log->ring.empty()) return;
+  Record& slot = log->ring[log->write_pos];
+  slot = record;
+  slot.thread = log->ordinal;
+  log->write_pos = (log->write_pos + 1) % log->ring.size();
+  if (log->count < log->ring.size()) {
+    ++log->count;
+  } else {
+    ++log->dropped;
+  }
+}
+
 }  // namespace
 
 namespace detail {
@@ -205,26 +220,15 @@ void RecordScopeExit(ThreadLog* log, Phase phase, std::uint32_t shard,
   row.alloc_bytes += bytes_self * weight;
   row.alloc_count += allocs_self * weight;
 
-  // Timeline record (bounded ring, drop-oldest, never blocks).
-  if (!log->ring.empty()) {
-    Record& slot = log->ring[log->write_pos];
-    slot.start_ns = start_ns;
-    slot.dur_ns = total_ns;
-    slot.self_ns = self_ns;
-    slot.alloc_bytes = bytes_self;
-    slot.alloc_count = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(allocs_self, 0xffffffffu));
-    slot.shard = shard;
-    slot.thread = log->ordinal;
-    slot.phase = phase;
-    slot.depth = depth;
-    log->write_pos = (log->write_pos + 1) % log->ring.size();
-    if (log->count < log->ring.size()) {
-      ++log->count;
-    } else {
-      ++log->dropped;
-    }
-  }
+  AppendRecord(log, {.start_ns = start_ns,
+                     .dur_ns = total_ns,
+                     .self_ns = self_ns,
+                     .alloc_bytes = bytes_self,
+                     .alloc_count = static_cast<std::uint32_t>(
+                         std::min<std::uint64_t>(allocs_self, 0xffffffffu)),
+                     .shard = shard,
+                     .phase = phase,
+                     .depth = depth});
 }
 
 }  // namespace detail
@@ -359,6 +363,30 @@ SampledPhaseScope::~SampledPhaseScope() {
                           total_ns, bytes, allocs, weight_);
 }
 
+Span::Span(const char* name) noexcept {
+  if (!Enabled()) return;
+  log_ = detail::AcquireThreadLog();
+  name_ = name;
+  shard_ = t_shard;
+  depth_ = t_span_depth;
+  t_span_depth = static_cast<std::uint8_t>(std::min(t_span_depth + 1, 255));
+  start_ns_ = detail::NowNanos();
+}
+
+Span::~Span() {
+  if (log_ == nullptr) return;
+  const std::uint64_t dur_ns = detail::NowNanos() - start_ns_;
+  t_span_depth = depth_;
+  AppendRecord(log_, {.start_ns = start_ns_,
+                      .dur_ns = dur_ns,
+                      .self_ns = dur_ns,
+                      .name = name_,
+                      .sim_start = sim_start_,
+                      .sim_end = sim_end_,
+                      .shard = shard_,
+                      .depth = depth_});
+}
+
 double Report::PhaseSelfSeconds(Phase phase) const noexcept {
   std::uint64_t ns = 0;
   for (const PhaseAgg& row : rows) {
@@ -413,21 +441,6 @@ Report Drain() {
                                               : a.dur_ns > b.dur_ns;
             });
   return report;
-}
-
-void AppendSpans(const Report& report, Tracer& tracer) {
-  for (const Record& record : report.records) {
-    SpanRecord span;
-    span.name = std::string("prof.") + PhaseName(record.phase);
-    if (record.shard != kNoShard) {
-      span.name += "/shard" + std::to_string(record.shard);
-    }
-    span.start_us = record.start_ns / 1000;
-    span.duration_us = record.dur_ns / 1000;
-    span.thread_id = record.thread;
-    span.depth = record.depth;
-    tracer.Record(std::move(span));
-  }
 }
 
 std::string ReportJson(const Report& report) {

@@ -66,7 +66,7 @@ struct SpillCodecStats {
   std::uint64_t samples = 0;
   std::uint64_t raw_bytes = 0;
   std::uint64_t payload_bytes = 0;
-  std::uint64_t ns = 0;  ///< wall time spent encoding/decoding
+  std::uint64_t ns = 0;  ///< thread CPU time spent encoding/decoding
 
   SpillCodecStats& operator+=(const SpillCodecStats& o) noexcept {
     blocks += o.blocks;

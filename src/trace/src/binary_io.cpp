@@ -4,8 +4,8 @@
 #include <limits>
 
 #include "codec_detail.hpp"
+#include "labmon/obs/prof.hpp"
 #include "labmon/obs/registry.hpp"
-#include "labmon/obs/span.hpp"
 #include "labmon/util/csv.hpp"
 
 namespace labmon::trace {

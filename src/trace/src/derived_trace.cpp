@@ -3,7 +3,7 @@
 #include <memory>
 #include <utility>
 
-#include "labmon/obs/span.hpp"
+#include "labmon/obs/prof.hpp"
 #include "labmon/util/parallel.hpp"
 
 namespace labmon::trace {

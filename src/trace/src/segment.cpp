@@ -1,6 +1,6 @@
 #include "labmon/trace/segment.hpp"
 
-#include <chrono>
+#include <ctime>
 #include <utility>
 
 #include "labmon/obs/registry.hpp"
@@ -25,11 +25,13 @@ std::uint64_t Fnv1a(const std::string& bytes) noexcept {
   return h;
 }
 
-std::uint64_t NowNs() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+/// The calling thread's CPU clock, so codec timings count encode/decode
+/// work and not the time a shard worker spends preempted on a shared core.
+std::uint64_t ThreadCpuNs() noexcept {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000u +
+         static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
 /// Reads one LEB128 varint byte-at-a-time from the stream. Returns false
@@ -71,7 +73,7 @@ void CountSpillIo(const SpillCodec& codec, const char* direction,
       .Increment(delta.payload_bytes);
   registry
       .GetCounter("labmon_spill_codec_ns_total",
-                  "Wall nanoseconds spent in spill encode/decode",
+                  "Thread CPU nanoseconds spent in spill encode/decode",
                   {{"codec", name}, {"direction", direction}})
       .Increment(delta.ns);
   registry
@@ -105,14 +107,14 @@ util::Result<SegmentWriter> SegmentWriter::Open(const std::string& path,
 util::Result<bool> SegmentWriter::Append(const TraceStore& block_store) {
   using R = util::Result<bool>;
   if (!out_) return R::Err("segment writer not open: " + path_);
-  const std::uint64_t t0 = NowNs();
+  const std::uint64_t t0 = ThreadCpuNs();
   codec_->EncodeBlock(block_store, payload_);
   SpillCodecStats delta;
   delta.blocks = 1;
   delta.samples = block_store.size();
   delta.raw_bytes = RawColumnBytes(block_store);
   delta.payload_bytes = payload_.size();
-  delta.ns = NowNs() - t0;
+  delta.ns = ThreadCpuNs() - t0;
   stats_ += delta;
   CountSpillIo(*codec_, "write", delta);
   std::string frame;
@@ -209,7 +211,7 @@ const TraceBlock* SegmentReader::Next() {
     error_ = "block checksum mismatch: " + path_;
     return nullptr;
   }
-  const std::uint64_t t0 = NowNs();
+  const std::uint64_t t0 = ThreadCpuNs();
   auto decoded = codec_->DecodeBlock(payload_, machine_count_, scratch_);
   if (!decoded.ok()) {
     error_ = "block payload decode failed (" + decoded.error() + "): " + path_;
@@ -220,7 +222,7 @@ const TraceBlock* SegmentReader::Next() {
   delta.samples = scratch_.size();
   delta.raw_bytes = RawColumnBytes(scratch_);
   delta.payload_bytes = payload_.size();
-  delta.ns = NowNs() - t0;
+  delta.ns = ThreadCpuNs() - t0;
   stats_ += delta;
   CountSpillIo(*codec_, "read", delta);
   // Payloads number iteration rows from zero; a segment's blocks cover the

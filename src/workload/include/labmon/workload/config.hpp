@@ -207,6 +207,12 @@ struct ForgottenModel {
   double abandon_tail_minutes = 12.0;
 };
 
+/// Accepted ranges of CampusConfig::days ([1, kMaxDays]) and
+/// CampusConfig::scale_labs ([1, kMaxScaleLabs]); scenario files and
+/// fleet_report's arguments outside them are refused.
+inline constexpr int kMaxDays = 10000;
+inline constexpr int kMaxScaleLabs = 1024;
+
 /// Top-level campus scenario.
 struct CampusConfig {
   int days = 77;             ///< experiment length (starts on a Monday)

@@ -1,6 +1,9 @@
 #include "labmon/workload/config_io.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "labmon/util/csv.hpp"
@@ -171,7 +174,13 @@ util::Result<CampusConfig> ParseCampusConfig(const std::string& ini_text,
     if (!matched) {
       for (const auto& [name, field] : map.ints) {
         if (name == key) {
-          *field = static_cast<int>(ini.value().GetInt(key, *field, &ok));
+          const std::int64_t value = ini.value().GetInt(key, *field, &ok);
+          // A value the int field cannot hold must not wrap into range.
+          if (value < std::numeric_limits<int>::min() ||
+              value > std::numeric_limits<int>::max()) {
+            ok = false;
+          }
+          *field = static_cast<int>(value);
           matched = true;
           break;
         }
@@ -188,6 +197,18 @@ util::Result<CampusConfig> ParseCampusConfig(const std::string& ini_text,
     }
     if (!matched) return R::Err("unknown scenario key: " + key);
     if (!ok) return R::Err("unparsable value for " + key);
+  }
+  // A negative horizon would size the trace with a huge reserve, and a
+  // scale below 1 would silently run one copy of the labs.
+  if (config.days < 1 || config.days > kMaxDays) {
+    return R::Err("experiment.days must be in [1, " +
+                  std::to_string(kMaxDays) + "], got " +
+                  std::to_string(config.days));
+  }
+  if (config.scale_labs < 1 || config.scale_labs > kMaxScaleLabs) {
+    return R::Err("experiment.scale_labs must be in [1, " +
+                  std::to_string(kMaxScaleLabs) + "], got " +
+                  std::to_string(config.scale_labs));
   }
   return config;
 }

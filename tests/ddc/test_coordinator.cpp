@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "labmon/ddc/w32_probe.hpp"
+#include "labmon/obs/prof.hpp"
 #include "labmon/winsim/fleet.hpp"
 
 namespace labmon::ddc {
@@ -300,38 +302,45 @@ TEST(CoordinatorTest, MetricsRegistryCollectsPerMachineCounters) {
   EXPECT_TRUE(saw_lab_label);
 }
 
-TEST(CoordinatorTest, TracerRecordsIterationAndExecutorSpans) {
+TEST(CoordinatorTest, ProfilerRecordsIterationSpanAndProbes) {
   auto fleet = SmallFleet(2);
   for (std::size_t i = 0; i < fleet.size(); ++i) fleet.machine(i).Boot(0);
   RecordingSink sink;
   W32Probe probe;
-  obs::Tracer tracer;
-  tracer.set_enabled(true);
+  obs::prof::Options options;
+  options.hot_sample_period = 1;  // time every probe
+  obs::prof::Enable(options);
+  obs::prof::Reset();
   CoordinatorConfig config;
   config.exec_policy.transient_failure_prob = 0.0;
-  config.tracer = &tracer;
   Coordinator coordinator(fleet, probe, config, sink);
   (void)coordinator.Run(0, config.period);
+  const obs::prof::Report report = obs::prof::Drain();
+  obs::prof::Disable();
+  obs::prof::Reset();
 
   std::size_t iteration_spans = 0;
-  std::size_t execute_spans = 0;
-  for (const auto& span : tracer.Snapshot()) {
-    if (span.name == "coordinator.iteration") {
+  std::size_t probe_records = 0;
+  for (const auto& record : report.records) {
+    if (record.name != nullptr &&
+        std::string_view(record.name) == "coordinator.iteration") {
       ++iteration_spans;
-      EXPECT_EQ(span.sim_start, 0);
-      EXPECT_GT(span.sim_end, 0);
+      EXPECT_EQ(record.sim_start, 0);
+      EXPECT_GT(record.sim_end, 0);
     }
-    if (span.name == "executor.execute") ++execute_spans;
+    if (record.name == nullptr && record.phase == obs::prof::Phase::kProbe) {
+      ++probe_records;
+    }
   }
   EXPECT_EQ(iteration_spans, 1u);
-  EXPECT_EQ(execute_spans, 2u);
+  EXPECT_EQ(probe_records, 2u);
 }
 
 TEST(CoordinatorTest, NullRegistryRunsUninstrumented) {
   auto fleet = SmallFleet(2);
   RecordingSink sink;
   W32Probe probe;
-  CoordinatorConfig config;  // metrics/tracer default to null
+  CoordinatorConfig config;  // metrics default to null
   Coordinator coordinator(fleet, probe, config, sink);
   const auto stats = coordinator.Run(0, config.period);
   EXPECT_EQ(stats.attempts, 2u);  // plain run still works

@@ -8,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "labmon/obs/jsonl.hpp"
+#include "labmon/obs/prof.hpp"
 #include "labmon/obs/registry.hpp"
-#include "labmon/obs/span.hpp"
 
 namespace labmon::obs {
 namespace {
@@ -80,15 +80,31 @@ TEST(ObsExportersTest, PrometheusEscapesLabelValues) {
       << out.str();
 }
 
+/// A report holding one named span and one shard-3 simulate record, as
+/// prof::Drain returns them.
+prof::Report SampleReport(const char* span_name, util::SimTime sim_start,
+                          util::SimTime sim_end) {
+  prof::Report report;
+  report.records.push_back({.start_ns = 5000,
+                            .dur_ns = 2000,
+                            .self_ns = 2000,
+                            .name = span_name,
+                            .sim_start = sim_start,
+                            .sim_end = sim_end,
+                            .thread = 1});
+  report.records.push_back({.start_ns = 6000,
+                            .dur_ns = 500,
+                            .self_ns = 500,
+                            .shard = 3,
+                            .thread = 1,
+                            .phase = prof::Phase::kSimulate,
+                            .depth = 1});
+  return report;
+}
+
 TEST(ObsExportersTest, ChromeTraceGoldenStructure) {
-  Tracer tracer;
-  tracer.set_enabled(true);
-  {
-    Span span("coordinator.iteration", &tracer);
-    span.SetSimRange(900, 2000);
-  }
   std::ostringstream out;
-  WriteChromeTrace(tracer, out);
+  WriteChromeTrace(SampleReport("coordinator.iteration", 900, 2000), out);
   const std::string json = out.str();
 
   // Structural golden snippets rather than byte equality: wall-clock
@@ -104,6 +120,19 @@ TEST(ObsExportersTest, ChromeTraceGoldenStructure) {
       << json;
   EXPECT_NE(json.find("\"sim_start\":900,\"sim_end\":2000"),
             std::string::npos);
+  // Wall timeline in microseconds; phase records take their prof name.
+  EXPECT_NE(json.find("\"ts\":5,\"dur\":2,\"pid\":1,\"tid\":1"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"name\":\"prof.simulate/shard3\""),
+            std::string::npos);
+  // Only the span has a sim range, so only it is mirrored on pid 2.
+  std::size_t events = 0;
+  for (auto at = json.find("\"ph\":\"X\""); at != std::string::npos;
+       at = json.find("\"ph\":\"X\"", at + 1)) {
+    ++events;
+  }
+  EXPECT_EQ(events, 3u);
   // Process-name metadata for both timelines.
   EXPECT_NE(json.find("\"name\":\"labmon wall clock\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"labmon sim clock\""), std::string::npos);
@@ -130,29 +159,30 @@ TEST(ObsExportersTest, JsonlWriterGolden) {
 }
 
 TEST(ObsExportersTest, SpansAndMetricsRoundTripThroughJsonl) {
-  Tracer tracer;
-  tracer.set_enabled(true);
-  {
-    Span span("analysis.table2", &tracer);
-    span.SetSimRange(0, 10);
-  }
+  const prof::Report report = SampleReport("analysis.table2", 0, 10);
   Registry registry;
   registry.GetCounter("c_total", "", {{"lab", "e1"}}).Increment(9);
 
   std::ostringstream out;
   JsonlWriter writer(out);
-  WriteSpansJsonl(tracer, writer);
+  WriteSpansJsonl(report, writer);
   WriteMetricsJsonl(registry, writer);
 
   const auto lines = Lines(out.str());
-  ASSERT_EQ(lines.size(), 2u);
+  ASSERT_EQ(lines.size(), 3u);
   EXPECT_NE(lines[0].find("\"type\":\"span\""), std::string::npos);
   EXPECT_NE(lines[0].find("\"name\":\"analysis.table2\""), std::string::npos);
+  EXPECT_NE(lines[0].find("\"start_us\":5,\"duration_us\":2"),
+            std::string::npos)
+      << lines[0];
   EXPECT_NE(lines[0].find("\"sim_start\":0"), std::string::npos);
-  EXPECT_NE(lines[1].find("\"type\":\"metric\""), std::string::npos);
-  EXPECT_NE(lines[1].find("\"value\":9"), std::string::npos);
-  EXPECT_NE(lines[1].find("{lab=\\\"e1\\\"}"), std::string::npos)
-      << lines[1];
+  EXPECT_NE(lines[1].find("\"name\":\"prof.simulate/shard3\""),
+            std::string::npos);
+  EXPECT_EQ(lines[1].find("sim_start"), std::string::npos);
+  EXPECT_NE(lines[2].find("\"type\":\"metric\""), std::string::npos);
+  EXPECT_NE(lines[2].find("\"value\":9"), std::string::npos);
+  EXPECT_NE(lines[2].find("{lab=\\\"e1\\\"}"), std::string::npos)
+      << lines[2];
 }
 
 TEST(ObsExportersTest, LogSinkRoutesIntoJsonl) {

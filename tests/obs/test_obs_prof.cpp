@@ -4,6 +4,8 @@
 //  * ring overflow drops oldest records and counts the drops
 //  * allocation accounting charges bytes to the allocating phase only
 //  * profiling never changes experiment output (trace hash on == off)
+//  * named Spans: timeline-only records (name, sim range, nesting depth,
+//    drop-oldest ring) that leave the per-phase aggregates untouched
 //
 // The profiler is process-global, so every test Enables with a fresh
 // Reset and Disables on exit; tests run serially within gtest by default.
@@ -11,6 +13,7 @@
 
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include "labmon/core/experiment.hpp"
-#include "labmon/obs/span.hpp"
 #include "labmon/trace/binary_io.hpp"
 
 namespace labmon::obs::prof {
@@ -251,21 +253,151 @@ TEST_F(ProfTest, ThreadAllocCountersAreMonotonic) {
   EXPECT_GT(after.count, before.count);
 }
 
-TEST_F(ProfTest, AppendSpansReplaysRecordsIntoTracer) {
+TEST_F(ProfTest, DisabledSpanRecordsNothing) {
+  Reset();
+  {
+    Span span("quiet");
+    EXPECT_FALSE(span.active());
+    span.SetSimRange(0, 10);  // harmless while inactive
+  }
+  EXPECT_TRUE(Drain().records.empty());
+}
+
+TEST_F(ProfTest, SpanRecordsNameAndSimRange) {
   Enable();
   Reset();
   {
-    ShardScope shard(2);
-    PhaseScope scope(Phase::kSimulate);
-    SpinFor(std::chrono::microseconds(100));
+    Span span("coordinator.iteration");
+    EXPECT_TRUE(span.active());
+    span.SetSimRange(900, 1800);
   }
   const Report report = Drain();
-  ASSERT_FALSE(report.records.empty());
-  Tracer tracer(64);
-  AppendSpans(report, tracer);
-  const auto spans = tracer.Snapshot();
-  ASSERT_EQ(spans.size(), report.records.size());
-  EXPECT_EQ(spans[0].name, "prof.simulate/shard2");
+  ASSERT_EQ(report.records.size(), 1u);
+  const Record& record = report.records[0];
+  EXPECT_STREQ(record.name, "coordinator.iteration");
+  EXPECT_EQ(record.sim_start, 900);
+  EXPECT_EQ(record.sim_end, 1800);
+  EXPECT_EQ(record.shard, kNoShard);
+  EXPECT_EQ(record.depth, 0u);
+}
+
+TEST_F(ProfTest, SpanSimRangeDefaultsToUnset) {
+  Enable();
+  Reset();
+  { Span span("no-sim"); }
+  const Report report = Drain();
+  ASSERT_EQ(report.records.size(), 1u);
+  EXPECT_EQ(report.records[0].sim_start, -1);
+  EXPECT_EQ(report.records[0].sim_end, -1);
+}
+
+TEST_F(ProfTest, NestedSpansRecordDepthAndCompleteInnerFirst) {
+  Enable();
+  Reset();
+  {
+    Span outer("outer");
+    {
+      Span middle("middle");
+      { Span inner("inner"); }
+    }
+  }
+  { Span again("again"); }  // a sibling after the nest is back at depth 0
+  const Report report = Drain();
+  ASSERT_EQ(report.records.size(), 4u);
+  // Records are in start order: outer, middle, inner, again.
+  const Record& outer = report.records[0];
+  const Record& middle = report.records[1];
+  const Record& inner = report.records[2];
+  EXPECT_STREQ(outer.name, "outer");
+  EXPECT_EQ(outer.depth, 0u);
+  EXPECT_STREQ(middle.name, "middle");
+  EXPECT_EQ(middle.depth, 1u);
+  EXPECT_STREQ(inner.name, "inner");
+  EXPECT_EQ(inner.depth, 2u);
+  EXPECT_STREQ(report.records[3].name, "again");
+  EXPECT_EQ(report.records[3].depth, 0u);
+  // Inner scopes complete first: each ends no later than its parent.
+  EXPECT_LE(inner.start_ns + inner.dur_ns, middle.start_ns + middle.dur_ns);
+  EXPECT_LE(middle.start_ns + middle.dur_ns, outer.start_ns + outer.dur_ns);
+}
+
+TEST_F(ProfTest, SpanRingKeepsNewestAndCountsDrops) {
+  Options options;
+  options.ring_capacity = 4;
+  Enable(options);
+  Reset();
+  static constexpr const char* kNames[] = {
+      "span-0", "span-1", "span-2", "span-3", "span-4",
+      "span-5", "span-6", "span-7", "span-8", "span-9"};
+  for (const char* name : kNames) {
+    Span span(name);
+  }
+  const Report report = Drain();
+  ASSERT_EQ(report.records.size(), 4u);
+  EXPECT_EQ(report.dropped_records, 6u);
+  EXPECT_STREQ(report.records.front().name, "span-6");
+  EXPECT_STREQ(report.records.back().name, "span-9");
+}
+
+TEST_F(ProfTest, SpanEnableStateIsCapturedAtConstruction) {
+  Enable();
+  Reset();
+  {
+    Span span("captured");
+    Disable();  // a mid-span disable must not lose the record
+  }
+  {
+    Span late("late");  // constructed while disabled: records nothing
+    Enable();
+  }
+  const Report report = Drain();
+  ASSERT_EQ(report.records.size(), 1u);
+  EXPECT_STREQ(report.records[0].name, "captured");
+}
+
+// Spans are timeline-only: opened around and inside phase scopes they
+// leave every aggregate row as it was (a Span inside a PhaseScope is not a
+// child, so the scope's self time still covers it).
+TEST_F(ProfTest, SpansLeavePhaseAggregatesUnchanged) {
+  const auto run = [](bool with_spans) {
+    Reset();
+    {
+      std::optional<Span> around;  // in place: a heap Span would allocate
+      if (with_spans) around.emplace("around");
+      ShardScope shard(1);
+      PhaseScope outer(Phase::kCollect);
+      {
+        PhaseScope inner(Phase::kMerge);
+        std::optional<Span> inside;
+        if (with_spans) inside.emplace("inside");
+        SpinFor(std::chrono::microseconds(200));
+      }
+      { SampledPhaseScope hot(Phase::kProbe); }
+    }
+    return Drain();
+  };
+  Options options;
+  options.hot_sample_period = 1;
+  Enable(options);
+  // Warm the thread log so no first-use allocation lands in either run.
+  (void)run(false);
+  const Report plain = run(false);
+  const Report spanned = run(true);
+  ASSERT_EQ(plain.rows.size(), spanned.rows.size());
+  for (std::size_t i = 0; i < plain.rows.size(); ++i) {
+    const PhaseAgg& a = plain.rows[i];
+    const PhaseAgg& b = spanned.rows[i];
+    EXPECT_EQ(a.shard, b.shard);
+    EXPECT_EQ(a.phase, b.phase);
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_EQ(a.alloc_bytes, b.alloc_bytes);
+    EXPECT_EQ(a.alloc_count, b.alloc_count);
+  }
+  // The spans are on the timeline, and nowhere else.
+  EXPECT_EQ(spanned.records.size(), plain.records.size() + 2);
+  const PhaseAgg* merge = FindRow(spanned, 1, Phase::kMerge);
+  ASSERT_NE(merge, nullptr);
+  EXPECT_EQ(merge->self_ns, merge->incl_ns);
 }
 
 TEST_F(ProfTest, ReportJsonIsWellFormedAndComplete) {

@@ -82,6 +82,39 @@ TEST(ConfigIoTest, UnparsableValueIsAnError) {
   EXPECT_FALSE(ParseCampusConfig("[power]\nsticky_fraction = lots\n").ok());
 }
 
+TEST(ConfigIoTest, OutOfRangeHorizonAndScaleAreErrors) {
+  for (const char* days : {"0", "-3", "10001", "4294967297"}) {
+    const auto config =
+        ParseCampusConfig(std::string("[experiment]\ndays = ") + days + "\n");
+    ASSERT_FALSE(config.ok()) << "days = " << days;
+    EXPECT_NE(config.error().find("experiment.days"), std::string::npos)
+        << config.error();
+  }
+  for (const char* scale : {"0", "-2", "1025"}) {
+    const auto config = ParseCampusConfig(
+        std::string("[experiment]\nscale_labs = ") + scale + "\n");
+    ASSERT_FALSE(config.ok()) << "scale_labs = " << scale;
+    EXPECT_NE(config.error().find("experiment.scale_labs"), std::string::npos)
+        << config.error();
+  }
+  // The ends of both ranges are accepted.
+  const auto edges = ParseCampusConfig(
+      "[experiment]\ndays = 10000\nscale_labs = 1024\n");
+  ASSERT_TRUE(edges.ok()) << edges.error();
+  EXPECT_EQ(edges.value().days, kMaxDays);
+  EXPECT_EQ(edges.value().scale_labs, kMaxScaleLabs);
+  EXPECT_TRUE(ParseCampusConfig("[experiment]\ndays = 1\nscale_labs = 1\n")
+                  .ok());
+}
+
+TEST(ConfigIoTest, LoadRejectsNegativeDaysFromFile) {
+  const std::string path = ::testing::TempDir() + "/labmon_bad_days.ini";
+  ASSERT_TRUE(util::WriteTextFile(path, "[experiment]\ndays = -3\n").ok());
+  const auto config = LoadCampusConfig(path);
+  ASSERT_FALSE(config.ok());
+  EXPECT_NE(config.error().find("experiment.days"), std::string::npos);
+}
+
 TEST(ConfigIoTest, SaveParseRoundTrip) {
   CampusConfig original = CorporateCampusConfig();
   original.days = 42;
